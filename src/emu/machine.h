@@ -10,6 +10,7 @@
 #include <memory>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "elf/image.h"
@@ -120,7 +121,8 @@ class Machine {
   [[nodiscard]] std::size_t stdin_pos() const noexcept { return stdin_pos_; }
   void set_stdin_pos(std::size_t pos) noexcept { stdin_pos_ = pos; }
   [[nodiscard]] const std::string& output() const noexcept { return output_; }
-  void set_output(std::string output) { output_ = std::move(output); }
+  /// Assigns in place: a restore reuses the buffer instead of allocating.
+  void set_output(std::string_view output) { output_.assign(output); }
 
   /// x86-64 stack top; other targets place theirs at target().stack_base().
   static constexpr std::uint64_t kStackBase = 0x7FFF'0000'0000ULL;

@@ -9,7 +9,10 @@
 // only pages written since the previous capture/restore and shares the
 // rest, restore() rewrites only pages that differ from the target
 // snapshot, and equals() compares mostly by page identity. Writes maintain
-// a per-page dirty bit to make all three operations cheap on the hot path.
+// a per-page dirty bit and a list of dirtied pages to make all three
+// operations cheap on the hot path: restoring the snapshot the memory is
+// synced to (the one it last captured or restored) costs O(pages written
+// since), not O(pages mapped).
 #pragma once
 
 #include <cstdint>
@@ -43,6 +46,10 @@ class Memory {
       std::vector<std::shared_ptr<const Page>> pages;
     };
     std::vector<RegionState> regions;
+    /// Process-unique identity assigned by capture(); copies share it, as
+    /// they share its content. 0 (never assigned) always restores by full
+    /// scan.
+    std::uint64_t id = 0;
   };
 
   /// Maps a zero-initialized region; `initial` (if any) seeds the prefix.
@@ -72,8 +79,11 @@ class Memory {
 
   /// Rewrites the address space to match `snapshot`, copying only pages
   /// that can differ (dirty since the last sync, or synced to different
-  /// page content). The region layout must match the one the snapshot was
-  /// captured from; throws Error{kInvalidArgument} otherwise.
+  /// page content). When `snapshot` is the one this memory is synced to,
+  /// every clean page already holds its content and only the pages written
+  /// since are visited; any other snapshot takes a scan of every page.
+  /// The region layout must match the one the snapshot was captured from;
+  /// throws Error{kInvalidArgument} otherwise.
   void restore(const Snapshot& snapshot);
 
   /// True when guest-visible memory is byte-identical to `snapshot`.
@@ -112,6 +122,9 @@ class Memory {
     std::vector<std::uint8_t> bytes;
     /// Per-page: written since the last capture()/restore() sync point.
     std::vector<bool> dirty;
+    /// The pages whose dirty bit is set, in first-write order. Reserved to
+    /// page_count() at map time, so marking a page never allocates.
+    std::vector<std::uint32_t> dirty_pages;
     /// Per-page: the page content this page matched at the last sync point
     /// (null before the first snapshot operation).
     std::vector<std::shared_ptr<const Page>> synced;
@@ -126,19 +139,30 @@ class Memory {
     void mark_dirty(std::size_t offset, std::size_t length) noexcept {
       const std::size_t first = offset / kPageSize;
       const std::size_t last = (offset + length - 1) / kPageSize;
-      for (std::size_t page = first; page <= last; ++page) dirty[page] = true;
+      for (std::size_t page = first; page <= last; ++page) {
+        if (dirty[page]) continue;
+        dirty[page] = true;
+        dirty_pages.push_back(static_cast<std::uint32_t>(page));
+      }
     }
   };
 
   Region* region_for(std::uint64_t address, std::uint64_t size) noexcept;
   const Region* region_for(std::uint64_t address, std::uint64_t size) const noexcept;
   void note_code_write(std::uint64_t begin, std::uint64_t end);
+  /// Copies `content` over `page` of `region` and makes it that page's
+  /// sync point.
+  void rewrite_page(Region& region, std::size_t page,
+                    const std::shared_ptr<const Page>& content);
 
   /// Range-log bound: past this the log degrades to a full-flush flag.
   /// Self-modifying guests are rare; a tiny log keeps the common case cheap.
   static constexpr std::size_t kMaxCodeWriteRanges = 64;
 
   std::vector<Region> regions_;
+  /// Snapshot::id of the last capture()/restore(); 0 when none or when the
+  /// layout changed since.
+  std::uint64_t synced_id_ = 0;
   bool track_code_writes_ = false;
   std::uint64_t code_write_epoch_ = 0;
   CodeWrites code_writes_;

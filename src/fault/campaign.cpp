@@ -128,10 +128,11 @@ Oracle make_oracle(const elf::Image& image, const std::string& good_input,
 
 CampaignResult run_campaign(const elf::Image& image, const std::string& good_input,
                             const std::string& bad_input, const CampaignConfig& config) {
-  support::check(config.models.order >= 1 && config.models.order <= kMaxCampaignOrder,
-                 support::ErrorKind::kExecution,
-                 "campaign order must be 1 (single faults), 2 (fault pairs), or 3.." +
-                     std::to_string(kMaxCampaignOrder) + " (fault k-tuples)");
+  if (config.models.order < 1 || config.models.order > kMaxCampaignOrder) {
+    support::fail(support::ErrorKind::kExecution,
+                  "campaign order must be 1 (single faults), 2 (fault pairs), or 3.." +
+                      std::to_string(kMaxCampaignOrder) + " (fault k-tuples)");
+  }
   sim::EngineConfig engine_config;
   engine_config.threads = config.threads;
   engine_config.detected_exit_code = config.detected_exit_code;

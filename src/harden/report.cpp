@@ -136,17 +136,36 @@ std::string milestone_line(const patch::PipelineResult& result) {
   std::string out;
   for (const patch::OrderMilestone& milestone : result.order_milestones) {
     if (!out.empty()) out += " -> ";
-    const double overhead =
-        result.original_code_size == 0
-            ? 0.0
-            : 100.0 *
-                  (static_cast<double>(milestone.code_size) -
-                   static_cast<double>(result.original_code_size)) /
-                  static_cast<double>(result.original_code_size);
     out += "order " + std::to_string(milestone.order) + " " +
            std::to_string(milestone.code_size) + " B (" +
-           support::format_fixed(overhead, 1) + "%)";
+           support::format_fixed(result.overhead_percent_at(milestone.code_size), 1) +
+           "%)";
   }
+  return out;
+}
+
+/// The Table-V overhead of a ladder run (order-2+ mode), each figure
+/// labelled with the order it was measured at: the order-1 fix-point, the
+/// order-2 milestone, then the final image when it is a different point —
+/// marked "(residual risk)" unless its own order is clean.
+std::string ladder_overhead(const patch::PipelineResult& result) {
+  const unsigned final_order =
+      result.final_campaign.tuple_order != 0 ? result.final_campaign.tuple_order : 2;
+  const bool final_clean =
+      result.orderk_fixpoint || (final_order == 2 && result.order2_fixpoint);
+  const patch::OrderMilestone* order2 = result.milestone(2);
+  std::string out =
+      "order-1 " + support::format_fixed(result.order1_overhead_percent(), 1) + "%";
+  if (order2 != nullptr || result.order2_fixpoint) {
+    const std::uint64_t size = order2 != nullptr ? order2->code_size : result.hardened_code_size;
+    out += " -> order-2 " + support::format_fixed(result.overhead_percent_at(size), 1) +
+           "% (+" + support::format_fixed(result.order2_overhead_delta_percent(), 1) +
+           " points for closing the order-2 gap)";
+    if (final_order == 2 && final_clean && size == result.hardened_code_size) return out;
+  }
+  out += " -> order-" + std::to_string(final_order) + " " +
+         support::format_fixed(result.overhead_percent(), 1) + "%";
+  if (!final_clean) out += " (residual risk)";
   return out;
 }
 
@@ -257,13 +276,10 @@ std::string fixpoint_markdown_section(const std::string& binary_name,
            " clean: **" + std::string(result.orderk_fixpoint ? "yes" : "NO") + "**";
   }
   out += ". Overhead (Table-V style): " +
-         support::format_fixed(result.overhead_percent(), 1) + "%";
-  if (result.order1_code_size != 0) {
-    out += " (order-1 " + support::format_fixed(result.order1_overhead_percent(), 1) +
-           "% + " + support::format_fixed(result.order2_overhead_delta_percent(), 1) +
-           " points for closing the order-2 gap)";
-  }
-  out += ".";
+         (result.order1_code_size != 0
+              ? ladder_overhead(result)
+              : support::format_fixed(result.overhead_percent(), 1) + "%") +
+         ".";
   if (max_order >= 3 && !result.order_milestones.empty()) {
     out += " Overhead vs k: " + milestone_line(result) + ".";
   }
@@ -451,11 +467,7 @@ std::string order2_fixpoint_section(const std::string& binary_name,
            " clean: " + std::string(result.orderk_fixpoint ? "yes" : "NO");
   }
   out += "\n";
-  out += "  overhead (Table-V style): order-1 " +
-         support::format_fixed(result.order1_overhead_percent(), 1) +
-         "% -> order-2 " + support::format_fixed(result.overhead_percent(), 1) +
-         "% (+" + support::format_fixed(result.order2_overhead_delta_percent(), 1) +
-         " points for closing the order-2 gap)\n";
+  out += "  overhead (Table-V style): " + ladder_overhead(result) + "\n";
   if (max_order >= 3 && !result.order_milestones.empty()) {
     out += "  overhead vs k:  " + milestone_line(result) + "\n";
   }

@@ -75,9 +75,10 @@ std::string fixpoint_section(const std::string& binary_name,
 /// trajectory of the ladder-aware Faulter+Patcher loop (campaign order,
 /// faults and residual pairs/tuples found, implicated sites, patches
 /// applied, code size) plus the Table-V-style overhead split — what order-1
-/// hardening cost, and what closing each higher-order gap added on top.
-/// Runs that climbed past order 2 get an extra order-k clean flag and the
-/// overhead-vs-k milestone trajectory.
+/// hardening cost, what closing the order-2 gap added on top, and the final
+/// overhead under its own order, marked "(residual risk)" when that order
+/// is not clean. Runs that climbed past order 2 get an extra order-k clean
+/// flag and the overhead-vs-k milestone trajectory.
 std::string order2_fixpoint_section(const std::string& binary_name,
                                     const patch::PipelineResult& result);
 

@@ -29,8 +29,10 @@ class Engine {
     try {
       map_globals();
       const Function* entry = module_.find_function(module_.entry_function);
-      support::check(entry != nullptr, ErrorKind::kIr,
-                     "entry function not found: " + module_.entry_function);
+      if (entry == nullptr) {
+        support::fail(ErrorKind::kIr,
+                      "entry function not found: " + module_.entry_function);
+      }
       execute_function(*entry, 0);
       result.stop = InterpStop::kReturned;
     } catch (const ExitRequested& exit) {

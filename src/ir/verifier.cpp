@@ -8,16 +8,39 @@ namespace r2r::ir {
 
 namespace {
 
-using support::check;
 using support::ErrorKind;
+using support::fail;
+
+/// Where a verifier failure points ("function @f: " or "function @f:
+/// block %b: "). The prefix is formatted only when a check fails, so a
+/// clean module costs no string building.
+class Site {
+ public:
+  explicit Site(const Function& fn, const BasicBlock* block = nullptr) noexcept
+      : fn_(fn), block_(block) {}
+
+  void check(bool condition, support::Literal what) const {
+    if (!condition) fail(ErrorKind::kIr, prefix() + std::string(what.view()));
+  }
+
+ private:
+  [[nodiscard]] std::string prefix() const {
+    std::string out = "function @" + fn_.name() + ": ";
+    if (block_ != nullptr) out += "block %" + block_->name() + ": ";
+    return out;
+  }
+
+  const Function& fn_;
+  const BasicBlock* block_;
+};
 
 void verify_function(const Module& module, const Function& fn) {
-  const std::string where = "function @" + fn.name() + ": ";
+  const Site where(fn);
   if (fn.is_intrinsic()) {
-    check(fn.blocks.empty(), ErrorKind::kIr, where + "intrinsic with a body");
+    where.check(fn.blocks.empty(), "intrinsic with a body");
     return;
   }
-  check(!fn.blocks.empty(), ErrorKind::kIr, where + "no blocks");
+  where.check(!fn.blocks.empty(), "no blocks");
 
   std::set<const BasicBlock*> own_blocks;
   for (const auto& block : fn.blocks) own_blocks.insert(block.get());
@@ -29,24 +52,25 @@ void verify_function(const Module& module, const Function& fn) {
   }
 
   for (const auto& block : fn.blocks) {
-    const std::string at = where + "block %" + block->name() + ": ";
-    check(!block->instrs.empty(), ErrorKind::kIr, at + "empty block");
+    const Site at(fn, block.get());
+    at.check(!block->instrs.empty(), "empty block");
     for (std::size_t i = 0; i < block->instrs.size(); ++i) {
       const Instr& instr = *block->instrs[i];
       const bool last = (i + 1 == block->instrs.size());
-      check(instr.is_terminator() == last, ErrorKind::kIr,
-            at + (last ? "missing terminator" : "terminator in the middle"));
+      if (last) {
+        at.check(instr.is_terminator(), "missing terminator");
+      } else {
+        at.check(!instr.is_terminator(), "terminator in the middle");
+      }
 
       for (const Value* op : instr.operands) {
-        check(op != nullptr, ErrorKind::kIr, at + "null operand");
+        at.check(op != nullptr, "null operand");
         if (op->kind() == Value::Kind::kInstr) {
-          check(defined.contains(op), ErrorKind::kIr,
-                at + "operand defined in another function");
+          at.check(defined.contains(op), "operand defined in another function");
         }
       }
       for (const BasicBlock* target : instr.targets) {
-        check(own_blocks.contains(target), ErrorKind::kIr,
-              at + "branch target outside function");
+        at.check(own_blocks.contains(target), "branch target outside function");
       }
 
       switch (instr.opcode()) {
@@ -59,82 +83,75 @@ void verify_function(const Module& module, const Function& fn) {
         case Opcode::kShl:
         case Opcode::kLShr:
         case Opcode::kAShr:
-          check(instr.operands.size() == 2, ErrorKind::kIr, at + "binary arity");
-          check(instr.operands[0]->type() == instr.type() &&
-                    instr.operands[1]->type() == instr.type(),
-                ErrorKind::kIr, at + "binary type mismatch");
-          check(instr.type() != Type::kVoid, ErrorKind::kIr, at + "void arithmetic");
+          at.check(instr.operands.size() == 2, "binary arity");
+          at.check(instr.operands[0]->type() == instr.type() &&
+                       instr.operands[1]->type() == instr.type(),
+                   "binary type mismatch");
+          at.check(instr.type() != Type::kVoid, "void arithmetic");
           break;
         case Opcode::kICmp:
-          check(instr.operands.size() == 2, ErrorKind::kIr, at + "icmp arity");
-          check(instr.type() == Type::kI1, ErrorKind::kIr, at + "icmp must yield i1");
-          check(instr.operands[0]->type() == instr.operands[1]->type(), ErrorKind::kIr,
-                at + "icmp operand mismatch");
+          at.check(instr.operands.size() == 2, "icmp arity");
+          at.check(instr.type() == Type::kI1, "icmp must yield i1");
+          at.check(instr.operands[0]->type() == instr.operands[1]->type(),
+                   "icmp operand mismatch");
           break;
         case Opcode::kZExt:
         case Opcode::kSExt:
-          check(instr.operands.size() == 1, ErrorKind::kIr, at + "ext arity");
-          check(type_bits(instr.type()) > type_bits(instr.operands[0]->type()),
-                ErrorKind::kIr, at + "ext must widen");
+          at.check(instr.operands.size() == 1, "ext arity");
+          at.check(type_bits(instr.type()) > type_bits(instr.operands[0]->type()),
+                   "ext must widen");
           break;
         case Opcode::kTrunc:
-          check(instr.operands.size() == 1, ErrorKind::kIr, at + "trunc arity");
-          check(type_bits(instr.type()) < type_bits(instr.operands[0]->type()),
-                ErrorKind::kIr, at + "trunc must narrow");
+          at.check(instr.operands.size() == 1, "trunc arity");
+          at.check(type_bits(instr.type()) < type_bits(instr.operands[0]->type()),
+                   "trunc must narrow");
           break;
         case Opcode::kSelect:
-          check(instr.operands.size() == 3, ErrorKind::kIr, at + "select arity");
-          check(instr.operands[0]->type() == Type::kI1, ErrorKind::kIr,
-                at + "select condition must be i1");
-          check(instr.operands[1]->type() == instr.type() &&
-                    instr.operands[2]->type() == instr.type(),
-                ErrorKind::kIr, at + "select type mismatch");
+          at.check(instr.operands.size() == 3, "select arity");
+          at.check(instr.operands[0]->type() == Type::kI1, "select condition must be i1");
+          at.check(instr.operands[1]->type() == instr.type() &&
+                       instr.operands[2]->type() == instr.type(),
+                   "select type mismatch");
           break;
         case Opcode::kLoad:
-          check(instr.operands.size() == 1, ErrorKind::kIr, at + "load arity");
-          check(instr.operands[0]->type() == Type::kI64, ErrorKind::kIr,
-                at + "load address must be i64");
-          check(instr.type() == Type::kI8 || instr.type() == Type::kI32 ||
-                    instr.type() == Type::kI64,
-                ErrorKind::kIr, at + "load type must be i8, i32 or i64");
+          at.check(instr.operands.size() == 1, "load arity");
+          at.check(instr.operands[0]->type() == Type::kI64, "load address must be i64");
+          at.check(instr.type() == Type::kI8 || instr.type() == Type::kI32 ||
+                       instr.type() == Type::kI64,
+                   "load type must be i8, i32 or i64");
           break;
         case Opcode::kStore:
-          check(instr.operands.size() == 2, ErrorKind::kIr, at + "store arity");
-          check(instr.operands[1]->type() == Type::kI64, ErrorKind::kIr,
-                at + "store address must be i64");
-          check(instr.operands[0]->type() == Type::kI8 ||
-                    instr.operands[0]->type() == Type::kI32 ||
-                    instr.operands[0]->type() == Type::kI64,
-                ErrorKind::kIr, at + "store value must be i8, i32 or i64");
+          at.check(instr.operands.size() == 2, "store arity");
+          at.check(instr.operands[1]->type() == Type::kI64, "store address must be i64");
+          at.check(instr.operands[0]->type() == Type::kI8 ||
+                       instr.operands[0]->type() == Type::kI32 ||
+                       instr.operands[0]->type() == Type::kI64,
+                   "store value must be i8, i32 or i64");
           break;
         case Opcode::kBr:
-          check(instr.targets.size() == 1, ErrorKind::kIr, at + "br target count");
+          at.check(instr.targets.size() == 1, "br target count");
           break;
         case Opcode::kCondBr:
-          check(instr.targets.size() == 2 && instr.operands.size() == 1, ErrorKind::kIr,
-                at + "condbr shape");
-          check(instr.operands[0]->type() == Type::kI1, ErrorKind::kIr,
-                at + "condbr condition must be i1");
+          at.check(instr.targets.size() == 2 && instr.operands.size() == 1, "condbr shape");
+          at.check(instr.operands[0]->type() == Type::kI1, "condbr condition must be i1");
           break;
         case Opcode::kSwitch:
-          check(instr.operands.size() == 1, ErrorKind::kIr, at + "switch arity");
-          check(instr.targets.size() == instr.case_values.size() + 1, ErrorKind::kIr,
-                at + "switch case/target mismatch");
+          at.check(instr.operands.size() == 1, "switch arity");
+          at.check(instr.targets.size() == instr.case_values.size() + 1,
+                   "switch case/target mismatch");
           break;
         case Opcode::kRet:
-          check(fn.return_type() == Type::kVoid, ErrorKind::kIr,
-                at + "non-void function return");
+          at.check(fn.return_type() == Type::kVoid, "non-void function return");
           break;
         case Opcode::kUnreachable:
           break;
         case Opcode::kCall: {
-          check(instr.callee != nullptr, ErrorKind::kIr, at + "call without callee");
-          check(module.find_function(instr.callee->name()) == instr.callee,
-                ErrorKind::kIr, at + "callee not in module");
-          check(instr.operands.size() == instr.callee->param_count(), ErrorKind::kIr,
-                at + "call argument count mismatch");
-          check(instr.type() == instr.callee->return_type(), ErrorKind::kIr,
-                at + "call result type mismatch");
+          at.check(instr.callee != nullptr, "call without callee");
+          at.check(module.find_function(instr.callee->name()) == instr.callee,
+                   "callee not in module");
+          at.check(instr.operands.size() == instr.callee->param_count(),
+                   "call argument count mismatch");
+          at.check(instr.type() == instr.callee->return_type(), "call result type mismatch");
           break;
         }
       }
@@ -153,8 +170,7 @@ void verify_function(const Module& module, const Function& fn) {
           }
         }
         if (in_this_block) {
-          check(seen.contains(op), ErrorKind::kIr,
-                at + "use before definition within block");
+          at.check(seen.contains(op), "use before definition within block");
         }
       }
       seen.insert(instr.get());
@@ -167,15 +183,17 @@ void verify_function(const Module& module, const Function& fn) {
 void verify(const Module& module) {
   std::set<std::string_view> names;
   for (const auto& fn : module.functions) {
-    check(names.insert(fn->name()).second, ErrorKind::kIr,
-          "duplicate function @" + fn->name());
+    if (!names.insert(fn->name()).second) {
+      fail(ErrorKind::kIr, "duplicate function @" + fn->name());
+    }
     verify_function(module, *fn);
   }
   std::set<std::string_view> global_names;
   for (const auto& global : module.globals) {
-    check(global_names.insert(global->name()).second, ErrorKind::kIr,
-          "duplicate global @" + global->name());
-    check(global->size() > 0, ErrorKind::kIr, "empty global @" + global->name());
+    if (!global_names.insert(global->name()).second) {
+      fail(ErrorKind::kIr, "duplicate global @" + global->name());
+    }
+    if (global->size() == 0) fail(ErrorKind::kIr, "empty global @" + global->name());
   }
 }
 

@@ -11,6 +11,7 @@ namespace r2r::isa {
 namespace {
 
 using support::check;
+using support::fail;
 using support::ErrorKind;
 using support::parse_integer;
 using support::split;
@@ -91,25 +92,31 @@ MemOperand parse_mem_body(const Target& target, std::string_view body) {
     if (const auto star = token.find('*'); star != std::string_view::npos) {
       const auto reg = target.parse_reg(to_lower(trim(token.substr(0, star))));
       const auto scale = parse_integer(trim(token.substr(star + 1)));
-      check(reg.has_value() && reg->second == address_width, ErrorKind::kParse,
-            "bad index register in memory operand: " + quoted(token));
-      check(scale.has_value() &&
-                (*scale == 1 || *scale == 2 || *scale == 4 || *scale == 8),
-            ErrorKind::kParse, "bad scale in memory operand: " + quoted(token));
-      check(!neg, ErrorKind::kParse, "index cannot be negated: " + quoted(token));
+      if (!reg.has_value() || reg->second != address_width) {
+        fail(ErrorKind::kParse, "bad index register in memory operand: " + quoted(token));
+      }
+      if (!scale.has_value() ||
+          (*scale != 1 && *scale != 2 && *scale != 4 && *scale != 8)) {
+        fail(ErrorKind::kParse, "bad scale in memory operand: " + quoted(token));
+      }
+      if (neg) fail(ErrorKind::kParse, "index cannot be negated: " + quoted(token));
       mem.index = reg->first;
       mem.scale = static_cast<std::uint8_t>(*scale);
       continue;
     }
     if (const auto reg = target.parse_reg(lower); reg.has_value()) {
-      check(reg->second == address_width, ErrorKind::kParse,
-            "memory operands use full-width registers: " + quoted(token));
-      check(!neg, ErrorKind::kParse, "register cannot be negated: " + quoted(token));
+      if (reg->second != address_width) {
+        fail(ErrorKind::kParse,
+             "memory operands use full-width registers: " + quoted(token));
+      }
+      if (neg) fail(ErrorKind::kParse, "register cannot be negated: " + quoted(token));
       if (!mem.base) {
         mem.base = reg->first;
       } else {
-        check(!mem.index, ErrorKind::kParse,
-              "too many registers in memory operand: " + quoted(token));
+        if (mem.index) {
+          fail(ErrorKind::kParse,
+               "too many registers in memory operand: " + quoted(token));
+        }
         mem.index = reg->first;
         mem.scale = 1;
       }
@@ -119,10 +126,12 @@ MemOperand parse_mem_body(const Target& target, std::string_view body) {
       mem.disp += neg ? -*value : *value;
       continue;
     }
-    check(is_identifier(token) && !neg, ErrorKind::kParse,
-          "bad term in memory operand: " + quoted(token));
-    check(mem.label.empty(), ErrorKind::kParse,
-          "multiple symbols in memory operand: " + quoted(token));
+    if (!is_identifier(token) || neg) {
+      fail(ErrorKind::kParse, "bad term in memory operand: " + quoted(token));
+    }
+    if (!mem.label.empty()) {
+      fail(ErrorKind::kParse, "multiple symbols in memory operand: " + quoted(token));
+    }
     mem.label = std::string(token);
   }
   return mem;
@@ -152,18 +161,21 @@ ParsedOperand parse_operand(const Target& target, std::string_view text) {
   }
 
   if (!text.empty() && text.front() == '[') {
-    check(text.back() == ']', ErrorKind::kParse,
-          "unterminated memory operand: " + quoted(text));
+    if (text.back() != ']') {
+      fail(ErrorKind::kParse, "unterminated memory operand: " + quoted(text));
+    }
     out.op = parse_mem_body(target, text.substr(1, text.size() - 2));
     return out;
   }
-  check(!out.size_prefix.has_value(), ErrorKind::kParse,
-        "size prefix requires a memory operand: " + quoted(text));
+  if (out.size_prefix.has_value()) {
+    fail(ErrorKind::kParse, "size prefix requires a memory operand: " + quoted(text));
+  }
 
   if (lower.starts_with("offset ")) {
     const std::string_view sym = trim(text.substr(7));
-    check(is_identifier(sym), ErrorKind::kParse,
-          "bad symbol after offset: " + quoted(sym));
+    if (!is_identifier(sym)) {
+      fail(ErrorKind::kParse, "bad symbol after offset: " + quoted(sym));
+    }
     out.op = ImmOperand{0, std::string(sym)};
     return out;
   }
@@ -176,8 +188,9 @@ ParsedOperand parse_operand(const Target& target, std::string_view text) {
     out.op = ImmOperand{*value, {}};
     return out;
   }
-  check(is_identifier(text), ErrorKind::kParse,
-        "unrecognized operand: " + quoted(text));
+  if (!is_identifier(text)) {
+    fail(ErrorKind::kParse, "unrecognized operand: " + quoted(text));
+  }
   out.op = LabelOperand{std::string(text)};
   return out;
 }
@@ -273,7 +286,9 @@ Instruction Target::parse_instruction(std::string_view line) const {
   while (split_at < line.size() && is_ident_char(line[split_at])) ++split_at;
   const std::string mnemonic_text = to_lower(line.substr(0, split_at));
   const auto spec = parse_mnemonic(mnemonic_text);
-  check(spec.has_value(), ErrorKind::kParse, "unknown mnemonic: " + quoted(mnemonic_text));
+  if (!spec.has_value()) {
+    fail(ErrorKind::kParse, "unknown mnemonic: " + quoted(mnemonic_text));
+  }
 
   Instruction instr;
   instr.mnemonic = spec->mnemonic;

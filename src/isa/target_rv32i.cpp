@@ -82,9 +82,11 @@ constexpr std::array<std::int8_t, 32> kAbstractFromHw = make_inverse_map();
 unsigned hw(Reg reg) noexcept { return kHwNumber[reg_number(reg)]; }
 
 Reg mapped_reg(unsigned hw_number, const char* what) {
-  check(hw_number < 32 && kAbstractFromHw[hw_number] >= 0, ErrorKind::kDecode,
-        std::string("register x") + std::to_string(hw_number) + " is not in the " + what +
-            " register file");
+  if (hw_number >= 32 || kAbstractFromHw[hw_number] < 0) {
+    fail(ErrorKind::kDecode,
+         std::string("register x") + std::to_string(hw_number) + " is not in the " + what +
+             " register file");
+  }
   return static_cast<Reg>(kAbstractFromHw[hw_number]);
 }
 

@@ -23,6 +23,7 @@ using isa::Mnemonic;
 using isa::Reg;
 using isa::Width;
 using support::check;
+using support::fail;
 using support::ErrorKind;
 using support::fits_int32;
 
@@ -752,8 +753,9 @@ class FunctionLowerer {
       define(&instr, Reg::rax);
       return;
     }
-    check(!callee.is_intrinsic(), ErrorKind::kLower,
-          "unknown intrinsic: " + callee.name());
+    if (callee.is_intrinsic()) {
+      fail(ErrorKind::kLower, "unknown intrinsic: " + callee.name());
+    }
     flush_and_clear();
     code_.push_back(isa::call(callee.name()));
   }

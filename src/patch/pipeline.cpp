@@ -37,6 +37,13 @@ unsigned lowest_dirty_order(const fault::CampaignResult& campaign) {
   return 0;
 }
 
+/// True when an order >= 2 campaign found no successful single fault and
+/// no successful level-2 set.
+bool order2_clean(const fault::CampaignResult& campaign) {
+  const unsigned dirty_order = lowest_dirty_order(campaign);
+  return dirty_order == 0 || dirty_order > 2;
+}
+
 /// Latest-wins milestone bookkeeping: the ladder can drop back and re-prove
 /// an order clean at a larger code size; the trajectory reports the size
 /// that finally stuck.
@@ -61,10 +68,11 @@ PipelineResult faulter_patcher(const elf::Image& input, const std::string& good_
                                const std::string& bad_input,
                                const PipelineConfig& config) {
   const unsigned requested_order = config.campaign.models.order;
-  support::check(requested_order >= 1 && requested_order <= fault::kMaxCampaignOrder,
-                 support::ErrorKind::kExecution,
-                 "faulter_patcher: campaign.models.order must be 1.." +
-                     std::to_string(fault::kMaxCampaignOrder));
+  if (requested_order < 1 || requested_order > fault::kMaxCampaignOrder) {
+    support::fail(support::ErrorKind::kExecution,
+                  "faulter_patcher: campaign.models.order must be 1.." +
+                      std::to_string(fault::kMaxCampaignOrder));
+  }
 
   obs::Span run_span("fixpoint.run");
   static obs::Counter& iterations_total =
@@ -274,6 +282,7 @@ PipelineResult faulter_patcher(const elf::Image& input, const std::string& good_
       result.hardened = std::move(image);
       result.final_campaign = std::move(campaign);
       result.fixpoint = true;
+      result.order2_fixpoint = order2_clean(result.final_campaign);
       break;
     }
     // Something was patched. Resume at the lowest dirty rung (never below
@@ -293,7 +302,7 @@ PipelineResult faulter_patcher(const elf::Image& input, const std::string& good_
         fault::run_campaign(result.hardened, good_input, bad_input, config.campaign);
     const bool clean = lowest_dirty_order(result.final_campaign) == 0;
     result.orderk_fixpoint = clean;
-    result.order2_fixpoint = clean;
+    result.order2_fixpoint = order2_clean(result.final_campaign);
     result.fixpoint = clean;
     if (clean) {
       record_milestone(result.order_milestones, requested_order,
@@ -323,17 +332,11 @@ std::string PipelineResult::to_json() const {
   json += "  \"order_milestones\": [";
   for (std::size_t i = 0; i < order_milestones.size(); ++i) {
     const OrderMilestone& milestone = order_milestones[i];
-    const double overhead =
-        original_code_size == 0
-            ? 0.0
-            : 100.0 *
-                  (static_cast<double>(milestone.code_size) -
-                   static_cast<double>(original_code_size)) /
-                  static_cast<double>(original_code_size);
     if (i != 0) json += ", ";
     json += "{\"order\": " + std::to_string(milestone.order) +
             ", \"code_size\": " + std::to_string(milestone.code_size) +
-            ", \"overhead_percent\": " + support::format_fixed(overhead, 1) + "}";
+            ", \"overhead_percent\": " +
+            support::format_fixed(overhead_percent_at(milestone.code_size), 1) + "}";
   }
   json += "],\n";
   json += "  \"iterations\": [\n";

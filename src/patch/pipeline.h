@@ -71,9 +71,10 @@ struct PipelineResult {
   fault::CampaignResult final_campaign;  ///< campaign against the final image
   bool fixpoint = false;         ///< no patchable vulnerabilities remain
   /// Order-2+ mode: the final campaign found zero successful pairs (and zero
-  /// successful single faults). Always false when order 1 was requested; at
-  /// order >= 3 this follows from orderk_fixpoint (a clean order-k sweep
-  /// includes a clean level-2 pass).
+  /// successful single faults) — its level-2 residue, so an order-k run
+  /// that ends with residual risk at order k can still be order-2 clean.
+  /// Always false when order 1 was requested or when the iteration cap hit
+  /// during the order-1 phase.
   bool order2_fixpoint = false;
   /// Order-2+ mode: the final campaign at the *requested* order found zero
   /// successful fault sets at every level (singles and every tuple level
@@ -91,29 +92,42 @@ struct PipelineResult {
   /// was requested.
   std::vector<OrderMilestone> order_milestones;
 
-  /// Code-size overhead percentage — the paper's Table V metric.
-  [[nodiscard]] double overhead_percent() const noexcept {
+  /// Table-V-style overhead of a `code_size`-byte .text over the original.
+  [[nodiscard]] double overhead_percent_at(std::uint64_t code_size) const noexcept {
     if (original_code_size == 0) return 0.0;
     return 100.0 *
-           (static_cast<double>(hardened_code_size) -
-            static_cast<double>(original_code_size)) /
+           (static_cast<double>(code_size) - static_cast<double>(original_code_size)) /
            static_cast<double>(original_code_size);
+  }
+
+  /// Code-size overhead percentage — the paper's Table V metric.
+  [[nodiscard]] double overhead_percent() const noexcept {
+    return overhead_percent_at(hardened_code_size);
   }
 
   /// Table-V-style overhead of the order-1 phase alone (order-2 mode only).
   [[nodiscard]] double order1_overhead_percent() const noexcept {
-    if (original_code_size == 0 || order1_code_size == 0) return 0.0;
-    return 100.0 *
-           (static_cast<double>(order1_code_size) -
-            static_cast<double>(original_code_size)) /
-           static_cast<double>(original_code_size);
+    return order1_code_size == 0 ? 0.0 : overhead_percent_at(order1_code_size);
+  }
+
+  /// The milestone of `order`, or null when the ladder never proved that
+  /// order clean.
+  [[nodiscard]] const OrderMilestone* milestone(unsigned order) const noexcept {
+    for (const OrderMilestone& m : order_milestones) {
+      if (m.order == order) return &m;
+    }
+    return nullptr;
   }
 
   /// What closing the order-2 gap cost on top of order-1 hardening, in
-  /// percentage points of the original code size (order-2 mode only).
+  /// percentage points of the original code size (order-2 mode only):
+  /// measured at the order-2 milestone, or at the final image when the
+  /// ladder recorded none.
   [[nodiscard]] double order2_overhead_delta_percent() const noexcept {
     if (order1_code_size == 0) return 0.0;
-    return overhead_percent() - order1_overhead_percent();
+    const OrderMilestone* order2 = milestone(2);
+    const std::uint64_t size = order2 != nullptr ? order2->code_size : hardened_code_size;
+    return overhead_percent_at(size) - order1_overhead_percent();
   }
 
   /// JSON document for downstream tooling: the per-iteration trajectory,

@@ -27,6 +27,7 @@ using emu::RunConfig;
 using emu::RunResult;
 using emu::StopReason;
 using support::check;
+using support::fail;
 using support::ErrorKind;
 
 /// Chunked dynamic scheduling shared by every sweep: workers pull
@@ -497,14 +498,18 @@ References make_references(const elf::Image& image, const std::string& good_inpu
   References refs;
   RunConfig config;
   refs.good_reference = run_one(good_input, config);
-  check(refs.good_reference.reason == StopReason::kExited, ErrorKind::kExecution,
-        "good-input golden run did not exit cleanly: " +
-            refs.good_reference.crash_detail);
+  if (refs.good_reference.reason != StopReason::kExited) {
+    fail(ErrorKind::kExecution,
+         "good-input golden run did not exit cleanly: " +
+             refs.good_reference.crash_detail);
+  }
 
   config.record_trace = true;
   RunResult bad = run_one(bad_input, config);
-  check(bad.reason == StopReason::kExited, ErrorKind::kExecution,
-        "bad-input golden run did not exit cleanly: " + bad.crash_detail);
+  if (bad.reason != StopReason::kExited) {
+    fail(ErrorKind::kExecution,
+         "bad-input golden run did not exit cleanly: " + bad.crash_detail);
+  }
   check(!bad.observably_equal(refs.good_reference), ErrorKind::kExecution,
         "good and bad inputs are observationally identical; nothing to protect");
   refs.bad_trace = std::move(bad.trace);
@@ -889,10 +894,12 @@ PairCampaignResult Engine::run_pairs(const FaultModels& models) const {
       const std::uint64_t faults_here = ranges[t1].second - ranges[t1].first;
       const std::uint64_t last = std::min(t1 + window, trace_length - 1);
       pair_count += faults_here * (prefix[last + 1] - prefix[t1 + 1]);
-      check(pair_count <= config_.max_pairs, ErrorKind::kExecution,
-            "order-2 sweep exceeds EngineConfig::max_pairs (" +
-                std::to_string(config_.max_pairs) +
-                "); narrow the fault models or pair_window");
+      if (pair_count > config_.max_pairs) {
+        fail(ErrorKind::kExecution,
+             "order-2 sweep exceeds EngineConfig::max_pairs (" +
+                 std::to_string(config_.max_pairs) +
+                 "); narrow the fault models or pair_window");
+      }
     }
   }
 
@@ -1149,13 +1156,15 @@ TupleCampaignResult Engine::run_tuples(const FaultModels& models) const {
       flat = sample_level(space, plan, ranges, m, models.max_tuples, models.sample_seed,
                           config_.threads);
     } else {
-      check(level.enumerated <= config_.max_planned_tuples, ErrorKind::kExecution,
-            "order-k sweep: level " + std::to_string(m) + " materialises " +
-                std::to_string(level.enumerated) +
-                " tuples, over EngineConfig::max_planned_tuples (" +
-                std::to_string(config_.max_planned_tuples) + "); " +
-                (top ? "set FaultModels::max_tuples to sample the top level"
-                     : "narrow the fault models or pair_window"));
+      if (level.enumerated > config_.max_planned_tuples) {
+        fail(ErrorKind::kExecution,
+             "order-k sweep: level " + std::to_string(m) + " materialises " +
+                 std::to_string(level.enumerated) +
+                 " tuples, over EngineConfig::max_planned_tuples (" +
+                 std::to_string(config_.max_planned_tuples) + "); " +
+                 (top ? "set FaultModels::max_tuples to sample the top level"
+                      : "narrow the fault models or pair_window"));
+      }
       level.classified = level.enumerated;
       flat.reserve(static_cast<std::size_t>(level.enumerated) * m);
       emit_level(space, plan, ranges, m, flat);

@@ -2,9 +2,11 @@
 //
 // The library throws r2r::support::Error for all recoverable failures
 // (malformed assembly, undecodable bytes, unmappable addresses, ...).
-// check()/require() are the throwing assertion helpers used throughout.
+// check()/require() are the throwing assertion helpers used throughout;
+// they take only string literals (see Literal), fail() takes any message.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <stdexcept>
 #include <string>
@@ -46,18 +48,35 @@ class Error : public std::runtime_error {
   ErrorKind kind_;
 };
 
+[[noreturn]] inline void fail(ErrorKind kind, const std::string& message) {
+  throw Error(kind, message);
+}
+
+/// A compile-time string literal — the only message check()/require()
+/// take. The guards run on every guest memory access, so a message that
+/// needs formatting (an address, a name) goes behind the failure test
+/// instead, `if (!ok) fail(kind, "unmapped read at " + hex_string(a));`,
+/// and the passing path never builds a string. The constructor is
+/// consteval, so passing a runtime-built string is a compile error.
+class Literal {
+ public:
+  template <std::size_t N>
+  consteval Literal(const char (&text)[N]) noexcept : text_(text, N - 1) {}  // NOLINT
+
+  [[nodiscard]] constexpr std::string_view view() const noexcept { return text_; }
+
+ private:
+  std::string_view text_;
+};
+
 /// Throws Error{kind, message} if `condition` is false.
-inline void check(bool condition, ErrorKind kind, const std::string& message) {
-  if (!condition) throw Error(kind, message);
+inline void check(bool condition, ErrorKind kind, Literal message) {
+  if (!condition) [[unlikely]] fail(kind, std::string(message.view()));
 }
 
 /// Throws Error{kInternal} if `condition` is false; use for invariants.
-inline void require(bool condition, const std::string& message) {
+inline void require(bool condition, Literal message) {
   check(condition, ErrorKind::kInternal, message);
-}
-
-[[noreturn]] inline void fail(ErrorKind kind, const std::string& message) {
-  throw Error(kind, message);
 }
 
 }  // namespace r2r::support

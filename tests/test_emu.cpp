@@ -1,13 +1,36 @@
 // Emulator: flag semantics against a host-computed oracle (property
-// sweeps), memory permissions, syscalls, fault-injection mechanics.
+// sweeps), memory permissions, crash messages, syscalls, fault-injection
+// mechanics, and the allocation-free restore+run hot path.
 #include <gtest/gtest.h>
+
+#include <atomic>
+#include <cstdlib>
+#include <functional>
+#include <new>
 
 #include "bir/assemble.h"
 #include "bir/module.h"
 #include "emu/machine.h"
+#include "guests/guests.h"
+#include "sim/snapshot.h"
 #include "support/bits.h"
 #include "support/error.h"
 #include "support/rng.h"
+
+// Every call to the global operator new in this binary is counted, so the
+// hot-path tests below can assert how often restore and run allocate.
+// (new[] and the nothrow forms forward here.)
+namespace {
+std::atomic<std::uint64_t> g_allocations{0};
+}  // namespace
+
+void* operator new(std::size_t size) {
+  g_allocations.fetch_add(1, std::memory_order_relaxed);
+  if (void* block = std::malloc(size == 0 ? 1 : size)) return block;
+  throw std::bad_alloc();
+}
+void operator delete(void* block) noexcept { std::free(block); }
+void operator delete(void* block, std::size_t) noexcept { std::free(block); }
 
 namespace r2r::emu {
 namespace {
@@ -290,6 +313,43 @@ TEST(MachineCrashes, UnmappedAccessReportsCrash) {
   EXPECT_EQ(result.reason, StopReason::kCrashed);
 }
 
+// Messages are formatted only once a check has failed; the crash detail a
+// run reports must read exactly as before, byte for byte.
+TEST(MachineCrashes, CrashDetailTextIsPinned) {
+  const auto crash_detail = [](const std::string& body) {
+    const RunResult result = run_image(build(body + ".section .data\nbuf: .zero 8\n"), "");
+    EXPECT_EQ(result.reason, StopReason::kCrashed) << body;
+    return result.crash_detail;
+  };
+  EXPECT_EQ(crash_detail("    mov rax, [0x1]\n"), "memory: unmapped read at 0x1");
+  EXPECT_EQ(crash_detail("    mov rax, 0x10\n    mov [rax], rbx\n"),
+            "memory: unmapped write at 0x10");
+  EXPECT_EQ(crash_detail("    mov rax, 0x20\n    push rax\n    ret\n"),
+            "memory: unmapped fetch at 0x20");
+  EXPECT_EQ(crash_detail("    mov rax, offset _start\n    mov [rax], rbx\n"),
+            "memory: permission violation writing 0x400000");
+  EXPECT_EQ(crash_detail("    mov rax, offset buf\n    push rax\n    ret\n"),
+            "memory: fetch from non-executable memory at 0x600000");
+
+  // No loaded segment is unreadable, so the read violation is pinned on a
+  // bare address space, through the same Error::what() a crash reports.
+  Memory memory;
+  memory.map("write-only", 0x1000, 0x100, elf::kWrite);
+  const auto what = [](const auto& access) -> std::string {
+    try {
+      access();
+    } catch (const support::Error& error) {
+      return error.what();
+    }
+    return "no error";
+  };
+  EXPECT_EQ(what([&] { memory.read(0x1010, 4); }),
+            "memory: permission violation reading 0x1010");
+  EXPECT_EQ(what([&] { memory.read(0x1010, 4, Access::kExecute); }),
+            "memory: permission violation reading 0x1010");
+  EXPECT_EQ(what([&] { memory.write(0x2000, 1, 1); }), "memory: unmapped write at 0x2000");
+}
+
 TEST(MachineCrashes, FuelExhaustionOnInfiniteLoop) {
   const elf::Image image = build("spin:\n    jmp spin\n");
   RunConfig config;
@@ -354,6 +414,46 @@ TEST(FaultInjection, FaultedRunsAreDeterministic) {
   const RunResult a = run_image(image, "", config);
   const RunResult b = run_image(image, "", config);
   EXPECT_TRUE(a.observably_equal(b));
+}
+
+// ---- allocation-free hot path ----------------------------------------------------------
+
+std::uint64_t allocations_during(const std::function<void()>& body) {
+  const std::uint64_t before = g_allocations.load();
+  body();
+  return g_allocations.load() - before;
+}
+
+// Fault simulation restores a snapshot and re-runs the guest millions of
+// times, so neither may allocate per emulated instruction: on a warm machine
+// a restore allocates nothing, and a restore+run allocates the same number
+// of times (the result's output copy) whatever the number of steps run.
+TEST(HotPath, RestoreAndRunDoNotAllocatePerInstruction) {
+  for (const guests::Guest* guest : {&guests::pincheck(), &guests::bootloader()}) {
+    SCOPED_TRACE(guest->name);
+    const elf::Image image = guests::build_image(*guest);
+    Machine machine(image, guest->bad_input);
+    const sim::MachineSnapshot entry = sim::capture(machine);
+    const RunConfig full;
+    const RunResult golden = machine.run(full);  // warms the block cache
+    ASSERT_EQ(golden.reason, StopReason::kExited);
+    ASSERT_GT(golden.steps, 100u);
+    RunConfig half;
+    half.fuel = golden.steps / 2;
+
+    EXPECT_EQ(allocations_during([&] { sim::restore(entry, machine); }), 0u);
+    EXPECT_EQ(allocations_during([&] { sim::restore(entry, machine); }), 0u);
+    const std::uint64_t whole_run = allocations_during([&] {
+      sim::restore(entry, machine);
+      EXPECT_TRUE(machine.run(full).observably_equal(golden));
+    });
+    const std::uint64_t half_run = allocations_during([&] {
+      sim::restore(entry, machine);
+      EXPECT_EQ(machine.run(half).reason, StopReason::kFuelExhausted);
+    });
+    EXPECT_EQ(whole_run, half_run) << "allocations grow with the steps run";
+    EXPECT_EQ(allocations_during([&] { sim::restore(entry, machine); }), 0u);
+  }
 }
 
 }  // namespace

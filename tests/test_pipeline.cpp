@@ -5,6 +5,7 @@
 #include "emu/machine.h"
 #include "fault/campaign.h"
 #include "guests/guests.h"
+#include "harden/report.h"
 #include "patch/pipeline.h"
 
 namespace r2r {
@@ -191,6 +192,49 @@ TEST(Order2PipelineDeterminism, ThreadCountDoesNotChangeTheHardenedBinary) {
     EXPECT_EQ(one.iterations[i].successful_pairs, eight.iterations[i].successful_pairs);
     EXPECT_EQ(one.iterations[i].patches_applied, eight.iterations[i].patches_applied);
   }
+}
+
+TEST(OrderLadderPipeline, ResidualRiskExitReportsWhatTheFinalSweepProves) {
+  // pincheck at order 3 ends in a residual-risk fix-point: one triple's
+  // sites cannot be reinforced further. Its final order-3 sweep still
+  // proves order 2 clean (no single fault, no pair), so the flag must say
+  // so; the order-2 overhead is the order-2 milestone, and the final
+  // overhead is labelled as order 3's, at residual risk.
+  const Guest& guest = guests::pincheck();
+  const elf::Image input = guests::build_image(guest);
+  patch::PipelineConfig config;
+  config.campaign = skip_pairs();
+  config.campaign.models.order = 3;
+  const patch::PipelineResult result =
+      patch::faulter_patcher(input, guest.good_input, guest.bad_input, config);
+
+  EXPECT_TRUE(result.fixpoint);
+  EXPECT_FALSE(result.orderk_fixpoint);
+  EXPECT_FALSE(result.final_campaign.tuple_vulnerabilities.empty());
+  EXPECT_TRUE(result.final_campaign.vulnerabilities.empty());
+  ASSERT_FALSE(result.final_campaign.tuple_levels.empty());
+  EXPECT_EQ(result.final_campaign.tuple_levels.front().order, 2u);
+  EXPECT_EQ(result.final_campaign.tuple_levels.front().successful, 0u);
+  EXPECT_TRUE(result.order2_fixpoint);
+  ASSERT_NE(result.milestone(2), nullptr);
+  EXPECT_EQ(result.milestone(3), nullptr);
+  EXPECT_LT(result.milestone(2)->code_size, result.hardened_code_size);
+
+  const std::string overhead =
+      "order-1 53.2% -> order-2 76.3% (+23.1 points for closing the order-2 gap) "
+      "-> order-3 102.4% (residual risk)";
+  const std::string text = harden::fixpoint_section("pincheck", result);
+  EXPECT_NE(text.find("  fix-point: yes, order-2 clean: yes, order-3 clean: NO\n"),
+            std::string::npos)
+      << text;
+  EXPECT_NE(text.find("  overhead (Table-V style): " + overhead + "\n"), std::string::npos)
+      << text;
+  const std::string markdown = harden::fixpoint_markdown_section("pincheck", result);
+  EXPECT_NE(markdown.find("order-2 clean: **yes**; order-3 clean: **NO**. "
+                          "Overhead (Table-V style): " +
+                          overhead + "."),
+            std::string::npos)
+      << markdown;
 }
 
 TEST(PipelineBitFlip, BitFlipVulnerabilitiesAreReducedInPincheck) {

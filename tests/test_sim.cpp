@@ -15,6 +15,7 @@
 #include "sim/engine.h"
 #include "sim/snapshot.h"
 #include "support/error.h"
+#include "support/rng.h"
 
 namespace r2r::sim {
 namespace {
@@ -104,6 +105,123 @@ TEST(MachineSnapshot, CowIsolatesWorkerMachines) {
   // Restoring rewinds the scribble.
   restore(snapshot, worker);
   EXPECT_TRUE(same_state(snapshot, worker));
+}
+
+// A restore of the snapshot the memory is synced to visits only the pages
+// written since; any other snapshot takes the full page scan. Randomized
+// writes, captures and restores (of the synced snapshot, of older ones, of
+// copies, and of snapshots captured on another machine) must leave exactly
+// the bytes a fresh machine's full-scan restore leaves.
+TEST(MachineSnapshot, FastRestoreMatchesFullScan) {
+  const Guest& guest = guests::pincheck();
+  const elf::Image image = guests::build_image(guest);
+  struct Span {
+    std::uint64_t base = 0;
+    std::uint64_t size = 0;
+    bool code = false;
+  };
+  std::vector<Span> layout;  // in mapping order: segments, then the stack
+  for (const auto& segment : image.segments) {
+    if (segment.size_in_memory() == 0) continue;
+    layout.push_back({segment.vaddr, segment.size_in_memory(),
+                      (segment.flags & elf::kExecute) != 0});
+  }
+  {
+    const emu::Machine probe(image, guest.bad_input);
+    const std::uint64_t top = probe.target().stack_base();
+    layout.push_back({top - emu::Machine::kStackSize, emu::Machine::kStackSize, false});
+  }
+  using Bytes = std::vector<std::vector<std::uint8_t>>;
+  const auto bytes_of = [&](const emu::Memory& memory) {
+    Bytes out;
+    for (const Span& span : layout) out.push_back(memory.read_block(span.base, span.size));
+    return out;
+  };
+  struct Taken {
+    emu::Memory::Snapshot snapshot;
+    Bytes bytes;
+  };
+
+  std::size_t fast_restores = 0;
+  std::size_t fast_code_restores = 0;
+  for (const std::uint64_t seed : {1u, 2u, 3u}) {
+    SCOPED_TRACE(seed);
+    support::Rng rng(seed);
+    emu::Machine machine(image, guest.bad_input);
+    emu::Machine other(image, guest.bad_input);
+    Bytes shadow = bytes_of(machine.memory());
+    Bytes other_shadow = shadow;
+    std::vector<Taken> taken;
+    std::optional<std::size_t> synced;  // index into `taken`
+    bool code_written = false;           // a code page written since the sync point
+
+    // Scribbles 1-6 short writes, a quarter of them into code.
+    const auto scribble = [&](emu::Memory& memory, Bytes& bytes) {
+      bool code = false;
+      for (std::uint64_t n = 1 + rng.next_below(6); n > 0; --n) {
+        std::size_t r = layout.size() - 1;  // the stack by default
+        if (rng.next_below(4) == 0) {
+          r = 0;
+          while (!layout[r].code) ++r;
+        } else if (rng.next_bool()) {
+          r = rng.next_below(layout.size());
+        }
+        const Span& span = layout[r];
+        const std::uint64_t offset = rng.next_below(span.size);
+        std::vector<std::uint8_t> data(
+            std::min<std::uint64_t>(1 + rng.next_below(16), span.size - offset));
+        for (std::uint8_t& byte : data) byte = static_cast<std::uint8_t>(rng.next());
+        memory.write_block(span.base + offset, data);
+        std::copy(data.begin(), data.end(),
+                  bytes[r].begin() + static_cast<std::ptrdiff_t>(offset));
+        code = code || span.code;
+      }
+      return code;
+    };
+
+    for (int step = 0; step < 300; ++step) {
+      const std::uint64_t op = rng.next_below(taken.empty() ? 2 : 6);
+      if (op == 0) {
+        code_written = scribble(machine.memory(), shadow) || code_written;
+      } else if (op == 1) {
+        taken.push_back({machine.memory().capture(), shadow});
+        synced = taken.size() - 1;
+        code_written = false;
+      } else if (op == 2) {
+        scribble(other.memory(), other_shadow);
+        taken.push_back({other.memory().capture(), other_shadow});
+      } else {
+        // 3: the synced snapshot (when there is one); 4: any snapshot;
+        // 5: a copy of any snapshot, which keeps its identity.
+        const std::size_t index =
+            op == 3 && synced.has_value() ? *synced : rng.next_below(taken.size());
+        const emu::Memory::Snapshot copy = taken[index].snapshot;
+        const emu::Memory::Snapshot& target = op == 5 ? copy : taken[index].snapshot;
+        const bool fast = synced == index;
+        const std::uint64_t epoch = machine.memory().code_write_epoch();
+        machine.memory().restore(target);
+        fast_restores += fast ? 1 : 0;
+        if (fast && code_written) {
+          ++fast_code_restores;
+          EXPECT_GT(machine.memory().code_write_epoch(), epoch)
+              << "fast restore rewrote code without bumping the epoch";
+        }
+        emu::Machine fresh(image, guest.bad_input);
+        fresh.memory().restore(target);
+        ASSERT_EQ(bytes_of(machine.memory()), bytes_of(fresh.memory())) << "step " << step;
+        shadow = taken[index].bytes;
+        synced = index;
+        code_written = false;
+      }
+      ASSERT_EQ(bytes_of(machine.memory()), shadow) << "step " << step;
+      for (const Taken& t : taken) {
+        ASSERT_EQ(machine.memory().equals(t.snapshot), t.bytes == shadow) << "step " << step;
+      }
+    }
+  }
+  // Both paths were exercised, the fast one also over rewritten code.
+  EXPECT_GT(fast_restores, 30u);
+  EXPECT_GT(fast_code_restores, 5u);
 }
 
 TEST(SnapshotPolicy, TunesIntervalToTraceLength) {
