@@ -1,5 +1,6 @@
 // Order-2 (double fault) campaign throughput: outcome-reuse pruning vs
-// exhaustive pair enumeration on the pincheck case study.
+// exhaustive pair enumeration on the pincheck case study, through the one
+// fault-set sweep (sim::Engine::run_tuples at order 2).
 //
 // The order-1 sweep is phase A of the pair sweep, so its profiles come for
 // free; the interesting number is how many of the |plan|·window pairs the
@@ -30,7 +31,7 @@ sim::FaultModels pair_models() {
 }
 
 struct SweepNumbers {
-  sim::PairCampaignResult pruned;
+  sim::TupleCampaignResult pruned;
   double pruned_seconds = 0;
   double exhaustive_seconds = 0;
   double pairs_per_second = 0;
@@ -53,14 +54,15 @@ SweepNumbers compare_sweeps(const elf::Image& image, const guests::Guest& guest,
 
   SweepNumbers numbers;
   bench::Phase pruned_phase("bench.pair_sweep_pruned");
-  numbers.pruned = pruned_engine.run_pairs(pair_models());
+  numbers.pruned = pruned_engine.run_tuples(pair_models());
   const double pruned_seconds = pruned_phase.stop();
   bench::Phase exhaustive_phase("bench.pair_sweep_exhaustive");
-  const sim::PairCampaignResult exhaustive = exhaustive_engine.run_pairs(pair_models());
+  const sim::TupleCampaignResult exhaustive = exhaustive_engine.run_tuples(pair_models());
   const double exhaustive_seconds = exhaustive_phase.stop();
 
   if (numbers.pruned.vulnerabilities != exhaustive.vulnerabilities ||
-      numbers.pruned.outcome_counts != exhaustive.outcome_counts) {
+      numbers.pruned.outcome_counts != exhaustive.outcome_counts ||
+      numbers.pruned.patch_sites() != exhaustive.patch_sites()) {
     std::printf("FAILED: pruned and exhaustive order-2 sweeps diverged on %s\n",
                 guest.name.c_str());
     std::exit(1);
@@ -70,13 +72,13 @@ SweepNumbers compare_sweeps(const elf::Image& image, const guests::Guest& guest,
   numbers.exhaustive_seconds = exhaustive_seconds;
   numbers.pairs_per_second =
       numbers.pruned_seconds > 0
-          ? static_cast<double>(numbers.pruned.total_pairs) / numbers.pruned_seconds
+          ? static_cast<double>(numbers.pruned.total_tuples) / numbers.pruned_seconds
           : 0.0;
   numbers.prune_rate =
-      numbers.pruned.total_pairs == 0
+      numbers.pruned.total_tuples == 0
           ? 0.0
-          : 100.0 * static_cast<double>(numbers.pruned.reused_pairs()) /
-                static_cast<double>(numbers.pruned.total_pairs);
+          : 100.0 * static_cast<double>(numbers.pruned.reused_tuples()) /
+                static_cast<double>(numbers.pruned.total_tuples);
   numbers.speedup = numbers.pruned_seconds > 0
                         ? numbers.exhaustive_seconds / numbers.pruned_seconds
                         : 0.0;
@@ -88,7 +90,7 @@ void BM_PairSweepPruned(benchmark::State& state) {
   const elf::Image image = guests::build_image(guest);
   const sim::Engine engine(image, guest.good_input, guest.bad_input);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(engine.run_pairs(pair_models()));
+    benchmark::DoNotOptimize(engine.run_tuples(pair_models()));
   }
 }
 BENCHMARK(BM_PairSweepPruned)->Unit(benchmark::kMillisecond);
@@ -101,7 +103,7 @@ void BM_PairSweepExhaustive(benchmark::State& state) {
   config.pair_outcome_reuse = false;
   const sim::Engine engine(image, guest.good_input, guest.bad_input, config);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(engine.run_pairs(pair_models()));
+    benchmark::DoNotOptimize(engine.run_tuples(pair_models()));
   }
 }
 BENCHMARK(BM_PairSweepExhaustive)->Unit(benchmark::kMillisecond);
@@ -139,10 +141,10 @@ int main(int argc, char** argv) {
         "threads=%u pairs=%-6llu pruned=%8.3fs exhaustive=%8.3fs speedup=%5.2fx "
         "pairs/s=%9.0f prune-rate=%5.1f%% reused(first=%llu second=%llu) "
         "identical=yes\n",
-        threads, static_cast<unsigned long long>(n.pruned.total_pairs),
+        threads, static_cast<unsigned long long>(n.pruned.total_tuples),
         n.pruned_seconds, n.exhaustive_seconds, n.speedup, n.pairs_per_second,
-        n.prune_rate, static_cast<unsigned long long>(n.pruned.reused_from_first),
-        static_cast<unsigned long long>(n.pruned.reused_from_second));
+        n.prune_rate, static_cast<unsigned long long>(n.pruned.levels.back().reused_prefix),
+        static_cast<unsigned long long>(n.pruned.levels.back().reused_suffix));
 
     if (!first) json += ", ";
     first = false;
@@ -164,7 +166,7 @@ int main(int argc, char** argv) {
   std::printf("JSON written to %s\n", json_path);
 
   std::printf("\n%s\n",
-              harden::residual_double_fault_section(guest.name, serial_numbers->pruned)
+              harden::residual_tuple_fault_section(guest.name, serial_numbers->pruned)
                   .c_str());
 
   benchmark::Initialize(&argc, argv);

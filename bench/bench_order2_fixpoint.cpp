@@ -44,7 +44,7 @@ bool sweeps_bit_identical(const elf::Image& image, const guests::Guest& guest) {
   models.pair_window = 8;
 
   bool have_reference = false;
-  sim::PairCampaignResult reference;
+  sim::TupleCampaignResult reference;
   for (const unsigned threads : {1u, 8u}) {
     for (const bool exhaustive : {false, true}) {
       sim::EngineConfig config;
@@ -52,7 +52,7 @@ bool sweeps_bit_identical(const elf::Image& image, const guests::Guest& guest) {
       config.convergence_pruning = !exhaustive;
       config.pair_outcome_reuse = !exhaustive;
       const sim::Engine engine(image, guest.good_input, guest.bad_input, config);
-      sim::PairCampaignResult result = engine.run_pairs(models);
+      sim::TupleCampaignResult result = engine.run_tuples(models);
       if (!have_reference) {
         reference = std::move(result);
         have_reference = true;
@@ -60,6 +60,7 @@ bool sweeps_bit_identical(const elf::Image& image, const guests::Guest& guest) {
       }
       if (result.vulnerabilities != reference.vulnerabilities ||
           result.outcome_counts != reference.outcome_counts ||
+          result.patch_sites() != reference.patch_sites() ||
           result.order1.vulnerabilities != reference.order1.vulnerabilities ||
           result.order1.outcome_counts != reference.order1.outcome_counts) {
         std::printf("FAILED: order-2 sweep diverged on %s (threads=%u "
@@ -110,8 +111,8 @@ void BM_PairPatchAttribution(benchmark::State& state) {
       order1.hardened, guest.good_input, guest.bad_input, campaign);
   for (auto _ : state) {
     bir::Module module = order1.module;
-    benchmark::DoNotOptimize(patch::apply_pair_patches(
-        module, residue.pair_vulnerabilities, campaign.models.pair_window));
+    benchmark::DoNotOptimize(patch::apply_tuple_patches(
+        module, residue.pair_vulnerabilities, campaign.models.pair_window, 2));
   }
 }
 BENCHMARK(BM_PairPatchAttribution)->Unit(benchmark::kMillisecond);

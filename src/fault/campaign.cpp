@@ -17,7 +17,7 @@ std::vector<std::uint64_t> CampaignResult::vulnerable_addresses() const {
 }
 
 std::uint64_t CampaignResult::strictly_second_order_count() const {
-  return sim::strictly_higher_order(vulnerabilities, pair_vulnerabilities).size();
+  return strictly_order_k(vulnerabilities, pair_vulnerabilities).size();
 }
 
 std::uint64_t CampaignResult::successful_lower_tuples() const {
@@ -68,7 +68,7 @@ std::string CampaignResult::to_json() const {
     json += "  \"pair_patch_sites\": [";
     first = true;
     for (const std::uint64_t site :
-         pair_patch_sites(sim::strictly_higher_order(vulnerabilities, pair_vulnerabilities))) {
+         tuple_patch_sites(strictly_order_k(vulnerabilities, pair_vulnerabilities))) {
       if (!first) json += ", ";
       first = false;
       json += support::json_quote(support::hex_string(site));
@@ -126,6 +126,16 @@ Oracle make_oracle(const elf::Image& image, const std::string& good_input,
   return oracle;
 }
 
+sim::EngineConfig engine_config(const CampaignConfig& config) {
+  sim::EngineConfig engine;
+  engine.threads = config.threads;
+  engine.detected_exit_code = config.detected_exit_code;
+  engine.fuel_multiplier = config.fuel_multiplier;
+  engine.fuel_slack = config.fuel_slack;
+  engine.pair_outcome_reuse = config.pair_outcome_reuse;
+  return engine;
+}
+
 CampaignResult run_campaign(const elf::Image& image, const std::string& good_input,
                             const std::string& bad_input, const CampaignConfig& config) {
   if (config.models.order < 1 || config.models.order > kMaxCampaignOrder) {
@@ -133,23 +143,24 @@ CampaignResult run_campaign(const elf::Image& image, const std::string& good_inp
                   "campaign order must be 1 (single faults), 2 (fault pairs), or 3.." +
                       std::to_string(kMaxCampaignOrder) + " (fault k-tuples)");
   }
-  sim::EngineConfig engine_config;
-  engine_config.threads = config.threads;
-  engine_config.detected_exit_code = config.detected_exit_code;
-  engine_config.fuel_multiplier = config.fuel_multiplier;
-  engine_config.fuel_slack = config.fuel_slack;
-  engine_config.pair_outcome_reuse = config.pair_outcome_reuse;
-  const sim::Engine engine(image, good_input, bad_input, engine_config);
+  const sim::Engine engine(image, good_input, bad_input, engine_config(config));
 
   // The models go to the engine verbatim — CampaignConfig embeds the
   // engine's own struct precisely so there is no per-field copy to drift.
   CampaignResult result;
-  if (config.models.order >= 3) {
+  if (config.models.order >= 2) {
     sim::TupleCampaignResult swept = engine.run_tuples(config.models);
     result.vulnerabilities = std::move(swept.order1.vulnerabilities);
     result.outcome_counts = std::move(swept.order1.outcome_counts);
     result.total_faults = swept.order1.total_faults;
     result.trace_length = swept.trace_length;
+    if (swept.order == 2) {
+      result.pair_vulnerabilities = std::move(swept.vulnerabilities);
+      result.pair_outcome_counts = std::move(swept.outcome_counts);
+      result.total_pairs = swept.total_tuples;
+      result.reused_pairs = swept.reused_tuples();
+      return result;
+    }
     result.tuple_order = swept.order;
     result.tuple_vulnerabilities = std::move(swept.vulnerabilities);
     result.tuple_outcome_counts = std::move(swept.outcome_counts);
@@ -158,18 +169,6 @@ CampaignResult run_campaign(const elf::Image& image, const std::string& good_inp
     result.reused_tuples = swept.reused_tuples();
     result.tuples_sampled = swept.sampled;
     result.tuple_levels = std::move(swept.levels);
-    return result;
-  }
-  if (config.models.order >= 2) {
-    sim::PairCampaignResult swept = engine.run_pairs(config.models);
-    result.vulnerabilities = std::move(swept.order1.vulnerabilities);
-    result.outcome_counts = std::move(swept.order1.outcome_counts);
-    result.total_faults = swept.order1.total_faults;
-    result.trace_length = swept.trace_length;
-    result.pair_vulnerabilities = std::move(swept.vulnerabilities);
-    result.pair_outcome_counts = std::move(swept.outcome_counts);
-    result.total_pairs = swept.total_pairs;
-    result.reused_pairs = swept.reused_pairs();
     return result;
   }
 

@@ -28,8 +28,6 @@ namespace r2r::fault {
 // The classification vocabulary and vulnerability record are defined by
 // the engine; fault:: re-exports them as its public campaign API.
 using sim::Outcome;
-using sim::pair_patch_sites;
-using sim::PairVulnerability;
 using sim::strictly_order_k;
 using sim::to_string;
 using sim::tuple_patch_sites;
@@ -60,10 +58,16 @@ struct CampaignConfig {
   /// Worker threads for the sweep (0 = hardware concurrency). Results are
   /// bit-identical for every thread count.
   unsigned threads = 1;
-  /// Order 2: classify pairs from the order-1 profiles where provably
-  /// equivalent instead of simulating them (exact; see sim::EngineConfig).
+  /// Order >= 2: classify fault sets from the order-1 profiles where
+  /// provably equivalent instead of simulating them (exact; see
+  /// sim::EngineConfig).
   bool pair_outcome_reuse = true;
 };
+
+/// The engine configuration a campaign runs under — the one place every
+/// shared knob crosses from CampaignConfig to sim::EngineConfig, so
+/// run_campaign, `r2r campaign` and the r2rd campaign job cannot drift.
+sim::EngineConfig engine_config(const CampaignConfig& config);
 
 struct CampaignResult {
   std::vector<Vulnerability> vulnerabilities;
@@ -71,10 +75,10 @@ struct CampaignResult {
   std::uint64_t total_faults = 0;
   std::uint64_t trace_length = 0;
 
-  /// Order-2 extension: filled only when CampaignConfig::models.order == 2.
-  /// The order-1 fields above are still populated (phase A of the pair
-  /// sweep).
-  std::vector<PairVulnerability> pair_vulnerabilities;
+  /// Order-2 extension: filled only when CampaignConfig::models.order == 2
+  /// (the level-2 sets of the tuple sweep, two faults each). The order-1
+  /// fields above are still populated (phase A of the sweep).
+  std::vector<TupleVulnerability> pair_vulnerabilities;
   std::map<Outcome, std::uint64_t> pair_outcome_counts;
   std::uint64_t total_pairs = 0;
   std::uint64_t reused_pairs = 0;  ///< pairs classified without simulation
@@ -112,7 +116,8 @@ struct CampaignResult {
   /// fault — the paper's "number of vulnerable points".
   [[nodiscard]] std::vector<std::uint64_t> vulnerable_addresses() const;
   /// Successful pairs neither of whose component faults succeeds alone —
-  /// the flattened analogue of sim::PairCampaignResult::strictly_higher_order.
+  /// the flattened analogue of sim::TupleCampaignResult::strictly_higher_order
+  /// at order 2.
   [[nodiscard]] std::uint64_t strictly_second_order_count() const;
 
   /// JSON document for downstream tooling: the order-1 counters and

@@ -1,5 +1,7 @@
 #include "harden/report.h"
 
+#include "elf/image.h"
+#include "fault/campaign.h"
 #include "patch/pipeline.h"
 #include "sim/engine.h"
 #include "support/strings.h"
@@ -225,33 +227,6 @@ std::string campaign_markdown_section(const std::string& binary_name,
   return out;
 }
 
-std::string pair_campaign_markdown_section(const std::string& binary_name,
-                                           const sim::PairCampaignResult& order2) {
-  std::string out = "### Double-fault campaign: " + binary_name + "\n\n";
-  out += std::to_string(order2.total_pairs) + " pairs within window " +
-         std::to_string(order2.pair_window) + " over " +
-         std::to_string(order2.trace_length) + " trace entries; **" +
-         std::to_string(order2.count(sim::Outcome::kSuccess)) + " successful**, " +
-         std::to_string(order2.strictly_higher_order().size()) +
-         " invisible to order 1. Order-1 phase: " +
-         std::to_string(order2.order1.total_faults) + " faults, " +
-         std::to_string(order2.order1.count(sim::Outcome::kSuccess)) +
-         " successful. Pruning: " + std::to_string(order2.reused_pairs()) +
-         " pairs reused from order-1 profiles, " +
-         std::to_string(order2.simulated_pairs) + " simulated.\n\n";
-  out += outcome_table("pair outcome", order2.outcome_counts).render_markdown();
-  if (!order2.vulnerabilities.empty()) {
-    TextTable table;
-    table.add_row({"first fault", "second fault", "successful pairs"});
-    for (const auto& [addresses, count] : order2.merged_vulnerable_pairs()) {
-      table.add_row({support::hex_string(addresses.first),
-                     support::hex_string(addresses.second), std::to_string(count)});
-    }
-    out += "\n" + table.render_markdown();
-  }
-  return out;
-}
-
 std::string fixpoint_markdown_section(const std::string& binary_name,
                                       const patch::PipelineResult& result) {
   std::string out = "### Faulter+Patcher fix-point: " + binary_name + "\n\n";
@@ -284,59 +259,6 @@ std::string fixpoint_markdown_section(const std::string& binary_name,
     out += " Overhead vs k: " + milestone_line(result) + ".";
   }
   out += "\n";
-  return out;
-}
-
-std::string residual_double_fault_section(const std::string& binary_name,
-                                          const sim::PairCampaignResult& order2) {
-  std::string out = "residual double-fault campaign: " + binary_name + "\n";
-  out += "  order-1 faults: " + std::to_string(order2.order1.total_faults) +
-         " (" + std::to_string(order2.order1.count(sim::Outcome::kSuccess)) +
-         " successful)\n";
-  out += "  order-2 pairs:  " + std::to_string(order2.total_pairs) + " within window " +
-         std::to_string(order2.pair_window) + " (" +
-         std::to_string(order2.count(sim::Outcome::kSuccess)) + " successful, " +
-         std::to_string(order2.strictly_higher_order().size()) +
-         " invisible to order 1)\n";
-  const double reuse_rate =
-      order2.total_pairs == 0
-          ? 0.0
-          : 100.0 * static_cast<double>(order2.reused_pairs()) /
-                static_cast<double>(order2.total_pairs);
-  out += "  pruning:        " + std::to_string(order2.reused_pairs()) +
-         " pairs reused from order-1 profiles (" +
-         support::format_fixed(reuse_rate, 1) + "%), " +
-         std::to_string(order2.simulated_pairs) + " simulated, " +
-         std::to_string(order2.fully_pruned_first_faults) +
-         " first faults fully pruned\n";
-  if (!order2.vulnerabilities.empty()) {
-    const auto sites = order2.patch_sites();
-    out += "  patch sites:    ";
-    for (std::size_t i = 0; i < sites.size(); ++i) {
-      if (i != 0) out += ", ";
-      out += support::hex_string(sites[i]);
-    }
-    out += "\n";
-  }
-
-  TextTable outcomes;
-  outcomes.add_row({"pair outcome", "count"});
-  for (const auto& [outcome, count] : order2.outcome_counts) {
-    outcomes.add_row({std::string(sim::to_string(outcome)), std::to_string(count)});
-  }
-  out += outcomes.render();
-
-  if (order2.vulnerabilities.empty()) {
-    out += "no residual double-fault vulnerabilities.\n";
-    return out;
-  }
-  TextTable table;
-  table.add_row({"first fault", "second fault", "successful pairs"});
-  for (const auto& [addresses, count] : order2.merged_vulnerable_pairs()) {
-    table.add_row({support::hex_string(addresses.first),
-                   support::hex_string(addresses.second), std::to_string(count)});
-  }
-  out += table.render();
   return out;
 }
 
@@ -416,6 +338,22 @@ std::string tuple_campaign_markdown_section(const std::string& binary_name,
     out += "\n" + vulnerable_tuple_table(tuples).render_markdown();
   }
   return out;
+}
+
+std::string campaign_report(const std::string& binary_name, const elf::Image& image,
+                            const std::string& good_input, const std::string& bad_input,
+                            const fault::CampaignConfig& config, std::string_view format) {
+  const sim::Engine engine(image, good_input, bad_input, fault::engine_config(config));
+  if (config.models.order >= 2) {
+    const sim::TupleCampaignResult result = engine.run_tuples(config.models);
+    if (format == "json") return result.to_json();
+    if (format == "markdown") return tuple_campaign_markdown_section(binary_name, result);
+    return residual_tuple_fault_section(binary_name, result);
+  }
+  const sim::CampaignResult result = engine.run(config.models);
+  if (format == "json") return result.to_json();
+  if (format == "markdown") return campaign_markdown_section(binary_name, result);
+  return campaign_section(binary_name, result);
 }
 
 std::string fixpoint_section(const std::string& binary_name,

@@ -1,12 +1,22 @@
-// r2r::harden — plain-text table rendering for benches and EXPERIMENTS.md.
+// r2r::harden — the report surfaces: plain-text and markdown sections for
+// the CLI, the r2rd daemon and the benches, and campaign_report(), the one
+// campaign run-and-render both the CLI and the daemon call.
 #pragma once
 
 #include <string>
+#include <string_view>
 #include <vector>
+
+namespace r2r::elf {
+struct Image;
+}  // namespace r2r::elf
+
+namespace r2r::fault {
+struct CampaignConfig;
+}  // namespace r2r::fault
 
 namespace r2r::sim {
 struct CampaignResult;
-struct PairCampaignResult;
 struct TupleCampaignResult;
 }  // namespace r2r::sim
 
@@ -36,31 +46,32 @@ class TextTable {
 std::string campaign_section(const std::string& binary_name,
                              const sim::CampaignResult& campaign);
 
-/// Markdown renderings of the three report surfaces (same data as the text
+/// Markdown renderings of the report surfaces (same data as the text
 /// sections, emitted as `###` headings + pipe tables) — what `r2r
 /// --markdown` and the batch summary artifact are built from.
 std::string campaign_markdown_section(const std::string& binary_name,
                                       const sim::CampaignResult& campaign);
-std::string pair_campaign_markdown_section(const std::string& binary_name,
-                                           const sim::PairCampaignResult& order2);
 std::string tuple_campaign_markdown_section(const std::string& binary_name,
                                             const sim::TupleCampaignResult& tuples);
 std::string fixpoint_markdown_section(const std::string& binary_name,
                                       const patch::PipelineResult& result);
 
-/// The residual-double-fault section of a hardening report: what an order-2
-/// campaign still finds on a binary after (single-fault) hardening —
-/// outcome counters, prune telemetry, and the successful pairs that no
-/// order-1 sweep can surface, merged by static address pair.
-std::string residual_double_fault_section(const std::string& binary_name,
-                                          const sim::PairCampaignResult& order2);
-
-/// The residual-k-tuple section: what an order-k (k >= 3) campaign still
-/// finds — the per-level reuse/sampling telemetry of the recursive sweep
-/// and the successful k-tuples no order-1 sweep can surface, merged by
-/// static address chain.
+/// The residual-k-tuple section: what an order-k (k >= 2) campaign still
+/// finds on a binary after (single-fault) hardening — the per-level
+/// reuse/sampling telemetry of the recursive sweep and the successful
+/// k-tuples no order-1 sweep can surface, merged by static address chain.
 std::string residual_tuple_fault_section(const std::string& binary_name,
                                          const sim::TupleCampaignResult& tuples);
+
+/// Runs the campaign `config` describes against `image` and renders it as
+/// `format` ("json", "markdown", anything else text): order 1 through the
+/// sim::CampaignResult renderers, order k >= 2 through the tuple ones. The
+/// one order × format dispatch shared by `r2r campaign` and the r2rd
+/// campaign job, so a daemon report is byte-identical to the one-shot
+/// subcommand's by construction.
+std::string campaign_report(const std::string& binary_name, const elf::Image& image,
+                            const std::string& good_input, const std::string& bad_input,
+                            const fault::CampaignConfig& config, std::string_view format);
 
 /// The fix-point trajectory section for a Faulter+Patcher run — the text
 /// rendering of patch::PipelineResult. Order-2 runs (order1_code_size set)

@@ -1,6 +1,7 @@
 #include "patch/pipeline.h"
 
 #include <algorithm>
+#include <cstdlib>
 #include <utility>
 
 #include "bir/assemble.h"
@@ -198,20 +199,13 @@ PipelineResult faulter_patcher(const elf::Image& input, const std::string& good_
     // succeeds alone is just that order-1 vulnerability republished
     // (reuse-from-first pads it with golden addresses the later faults
     // never strike) — the order-1 patcher owns those sites.
-    std::vector<std::uint64_t> sites;
-    if (current_order == 2) {
-      const std::vector<fault::PairVulnerability> strict = sim::strictly_higher_order(
-          campaign.vulnerabilities, campaign.pair_vulnerabilities);
-      report.strictly_second_order = strict.size();
-      sites = fault::pair_patch_sites(strict);
-      report.pair_patch_sites = sites.size();
-    } else {
-      const std::vector<fault::TupleVulnerability> strict = fault::strictly_order_k(
-          campaign.vulnerabilities, campaign.tuple_vulnerabilities);
-      report.strictly_order_k = strict.size();
-      sites = fault::tuple_patch_sites(strict);
-      report.tuple_patch_sites = sites.size();
-    }
+    const bool pairs = current_order == 2;
+    const std::vector<fault::TupleVulnerability> strict = fault::strictly_order_k(
+        campaign.vulnerabilities,
+        pairs ? campaign.pair_vulnerabilities : campaign.tuple_vulnerabilities);
+    std::vector<std::uint64_t> sites = fault::tuple_patch_sites(strict);
+    (pairs ? report.strictly_second_order : report.strictly_order_k) = strict.size();
+    (pairs ? report.pair_patch_sites : report.tuple_patch_sites) = sites.size();
 
     const unsigned dirty_order = lowest_dirty_order(campaign);
     if (dirty_order == 0) {
@@ -311,6 +305,16 @@ PipelineResult faulter_patcher(const elf::Image& input, const std::string& good_
   }
   result.hardened_code_size = result.hardened.code_size();
   return result;
+}
+
+double PipelineResult::order2_overhead_delta_percent() const {
+  if (order1_code_size == 0) return 0.0;
+  const OrderMilestone* order2 = milestone(2);
+  const std::uint64_t size = order2 != nullptr ? order2->code_size : hardened_code_size;
+  const auto printed = [](double percent) {
+    return std::strtod(support::format_fixed(percent, 1).c_str(), nullptr);
+  };
+  return printed(overhead_percent_at(size)) - printed(order1_overhead_percent());
 }
 
 std::string PipelineResult::to_json() const {

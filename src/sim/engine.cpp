@@ -6,6 +6,7 @@
 #include <exception>
 #include <limits>
 #include <mutex>
+#include <numeric>
 #include <set>
 #include <thread>
 #include <tuple>
@@ -30,26 +31,28 @@ using support::check;
 using support::fail;
 using support::ErrorKind;
 
-/// Chunked dynamic scheduling shared by every sweep: workers pull
-/// fixed-size index ranges from a shared cursor; each owns private state
-/// built by make_state() (a Machine, or a walker/scratch pair for the
-/// batched sweeps). Slot i of the caller's result vector is written only by
-/// per_item(state, i), so aggregation order — and every derived counter —
-/// is identical for every thread count. The first worker exception is
-/// rethrown after the join. Each worker covers its lifetime with an obs
-/// span named `span_label` and ticks `progress` (when non-null) once per
-/// item — both no-ops unless the caller opted into observability, and
-/// neither touches the result slots. Returns the thread count used.
+/// Chunked dynamic scheduling shared by every sweep: workers pull chunks
+/// [bounds[c], bounds[c + 1]) from a shared cursor (bounds ascends from 0
+/// to the item count); each owns private state built by make_state() (an
+/// Engine::Worker, or the sampler's nothing). Slot i of the caller's
+/// result vector is written only by per_item(state, i), so aggregation
+/// order — and every derived counter — is identical for every thread
+/// count. The first worker exception is rethrown after the join. Each
+/// worker covers its lifetime with an obs span named `span_label` and
+/// ticks `progress` (when non-null) once per chunk — both no-ops unless
+/// the caller opted into observability, and neither touches the result
+/// slots. Returns the thread count used (never more than the chunks).
 template <typename MakeState, typename PerItem>
-unsigned run_sharded_state(unsigned configured_threads, std::size_t count,
-                           std::size_t chunk, const char* span_label,
+unsigned run_sharded_state(unsigned configured_threads,
+                           const std::vector<std::size_t>& bounds, const char* span_label,
                            obs::Progress* progress, const MakeState& make_state,
                            const PerItem& per_item) {
+  const std::size_t chunks = bounds.size() - 1;
   unsigned threads = configured_threads != 0
                          ? configured_threads
                          : std::max(1u, std::thread::hardware_concurrency());
-  if (count < threads) {
-    threads = static_cast<unsigned>(std::max<std::size_t>(1, count));
+  if (chunks < threads) {
+    threads = static_cast<unsigned>(std::max<std::size_t>(1, chunks));
   }
 
   std::atomic<std::size_t> cursor{0};
@@ -63,9 +66,10 @@ unsigned run_sharded_state(unsigned configured_threads, std::size_t count,
       std::uint64_t items = 0;
       auto state = make_state();
       while (!failed.load(std::memory_order_relaxed)) {
-        const std::size_t begin = cursor.fetch_add(chunk, std::memory_order_relaxed);
-        if (begin >= count) break;
-        const std::size_t end = std::min(count, begin + chunk);
+        const std::size_t chunk = cursor.fetch_add(1, std::memory_order_relaxed);
+        if (chunk >= chunks) break;
+        const std::size_t begin = bounds[chunk];
+        const std::size_t end = bounds[chunk + 1];
         for (std::size_t i = begin; i < end; ++i) per_item(state, i);
         items += end - begin;
         if (progress != nullptr) progress->tick(end - begin);
@@ -90,21 +94,18 @@ unsigned run_sharded_state(unsigned configured_threads, std::size_t count,
   return threads;
 }
 
-/// The classic one-machine-per-worker shard (order-1 profile, per-pair
-/// simulation). `block_cache` selects the worker machines' dispatch mode.
-template <typename PerItem>
-unsigned run_sharded(const elf::Image& image, const std::string& stdin_data,
-                     bool block_cache, unsigned configured_threads, std::size_t count,
-                     const char* span_label, obs::Progress* progress,
-                     const PerItem& per_item) {
-  return run_sharded_state(
-      configured_threads, count, /*chunk=*/64, span_label, progress,
-      [&]() {
-        emu::Machine machine(image, stdin_data);
-        machine.set_block_cache_enabled(block_cache);
-        return machine;
-      },
-      per_item);
+/// Chunk bounds for a simulating sweep over `count` fault sets: one chunk
+/// per run of consecutive sets with `same_group(i - 1, i)` — sets that can
+/// share a fork — so no worker starts in the middle of a run another
+/// worker's fork covers, and the thread count used is bounded by the runs.
+template <typename SameGroup>
+std::vector<std::size_t> fork_group_chunks(std::size_t count, const SameGroup& same_group) {
+  std::vector<std::size_t> bounds{0};
+  for (std::size_t i = 1; i < count; ++i) {
+    if (!same_group(i - 1, i)) bounds.push_back(i);
+  }
+  if (count > 0) bounds.push_back(count);
+  return bounds;
 }
 
 /// [begin, end) range of each trace index's fault group within the order-1
@@ -122,10 +123,12 @@ std::vector<std::pair<std::size_t, std::size_t>> index_ranges(
   return ranges;
 }
 
-/// Canonical pair enumeration order, shared by enumerate_fault_pairs and the
-/// engine's order-2 sweep: ascending first fault (order-1 plan order), then
-/// ascending second-fault trace index within the window, then canonical
-/// order within that index. fn receives order-1 plan indices (i, j).
+/// Canonical pair enumeration order of enumerate_fault_pairs: ascending
+/// first fault (order-1 plan order), then ascending second-fault trace index
+/// within the window, then canonical order within that index. fn receives
+/// order-1 plan indices (i, j). Written independently of emit_level, which
+/// must produce the same order at level 2, so the brute-force pair oracle
+/// checks the engine's enumeration too.
 template <typename Fn>
 void for_each_pair(const std::vector<PlannedFault>& plan,
                    const std::vector<std::pair<std::size_t, std::size_t>>& ranges,
@@ -320,8 +323,10 @@ std::vector<std::uint32_t> sample_level(
   std::vector<std::uint32_t> flat(budget * arity);
   const std::size_t shards =
       std::max<std::size_t>(1, std::min<std::size_t>(256, plan.size()));
+  std::vector<std::size_t> bounds(shards + 1);
+  std::iota(bounds.begin(), bounds.end(), std::size_t{0});
   run_sharded_state(
-      threads, shards, /*chunk=*/1, "sim.tuple_sampler", nullptr, []() { return 0; },
+      threads, bounds, "sim.tuple_sampler", nullptr, []() { return 0; },
       [&](int&, std::size_t shard) {
         support::Rng rng = support::Rng::for_stream(seed, static_cast<unsigned>(shard));
         const std::size_t lo = shard * plan.size() / shards;
@@ -379,7 +384,7 @@ void timed_restore(const MachineSnapshot& snapshot, emu::Machine& machine) {
   restore_ns.observe(obs::now_ns() - begin);
 }
 
-/// Order-1 outcome/prune counters, shared by run() and run_pairs() phase A.
+/// Order-1 outcome/prune counters, shared by run() and run_tuples() phase A.
 /// Everything recorded here is derived from the deterministic sweep result,
 /// so totals are invariant across thread counts (tested).
 void record_order1_metrics(const CampaignResult& result) {
@@ -624,49 +629,100 @@ Engine::FaultProfile Engine::finish_with_pruning(emu::Machine& machine,
   }
 }
 
-Engine::FaultProfile Engine::profile_one(emu::Machine& machine, const PlannedFault& fault,
-                                         std::atomic<std::uint64_t>& pruned) const {
-  const std::uint64_t index = fault.spec.trace_index;
-  const std::size_t nearest =
-      std::min<std::size_t>(index / interval_, chain_.size() - 1);
-  timed_restore(chain_[nearest], machine);
-  return finish_with_pruning(machine, fault.spec, (index / interval_ + 1) * interval_,
-                             pruned);
+/// The fork rule. A worker holds at most one fork: the machine state after
+/// some set's prefix faults f1..f(m-1), paused just before step
+/// `fork_step`. A set whose prefix equals the fork's and whose last fault
+/// strikes at t >= fork_step starts from the fork and runs fault-free from
+/// fork_step to t (at order 1 — an empty prefix, so the fork is the golden
+/// run — only when the fork is no earlier than t's nearest checkpoint);
+/// every other set restores the checkpoint nearest its first fault and
+/// replays the prefix legs. A fork is captured only when the worker's next
+/// set has the same prefix and the same last step, so skip-only sweeps
+/// (one fault per step) never capture, and a step's whole fan-out of
+/// bit/register/flag flips restores the fork through the snapshot's
+/// dirty-page fast path. Determinism makes this exact: a machine restored
+/// from a snapshot taken at step t is the machine replayed to step t.
+struct Engine::Worker {
+  explicit Worker(emu::Machine m) : machine(std::move(m)) {}
+
+  emu::Machine machine;
+  MachineSnapshot fork;
+  std::vector<std::uint32_t> fork_prefix;  ///< plan indices of the prefix faults
+  std::uint64_t fork_step = kNeverStep;    ///< kNeverStep: no fork held
+  /// Hit addresses of prefix faults 2..m-1 (the pauses the fork replays).
+  std::vector<std::uint64_t> fork_hits;
+};
+
+Engine::Worker Engine::make_worker() const {
+  Worker worker(emu::Machine(image_, bad_input_));
+  worker.machine.set_block_cache_enabled(config_.block_cache);
+  return worker;
 }
 
-Engine::PairSim Engine::simulate_pair(emu::Machine& machine, const emu::FaultSpec& first,
-                                      const emu::FaultSpec& second,
-                                      std::uint64_t golden_second_address,
-                                      std::atomic<std::uint64_t>& converged) const {
-  const std::uint64_t t1 = first.trace_index;
-  const std::uint64_t t2 = second.trace_index;
-  const std::size_t nearest = std::min<std::size_t>(t1 / interval_, chain_.size() - 1);
-  timed_restore(chain_[nearest], machine);
+Engine::FaultProfile Engine::simulate_set(Worker& worker, const std::uint32_t* set,
+                                          std::size_t arity, const std::uint32_t* next,
+                                          const std::vector<PlannedFault>& plan,
+                                          std::uint64_t* hits,
+                                          std::atomic<std::uint64_t>& pruned) const {
+  emu::Machine& machine = worker.machine;
+  const std::size_t prefix = arity - 1;
+  const std::uint64_t t = plan[set[prefix]].spec.trace_index;
+  const auto nearest_checkpoint = [&](std::uint64_t step) {
+    return std::min<std::size_t>(step / interval_, chain_.size() - 1);
+  };
+  // A leg that ends before its pause point (exit, crash, or the fuel cap)
+  // classifies the whole set: the remaining faults never fire.
+  const auto ended = [&](const RunResult& run, const RunConfig& config) {
+    return run.reason != StopReason::kFuelExhausted || config.fuel >= fuel_;
+  };
+  const auto terminated = [&](const RunResult& run) {
+    FaultProfile profile;
+    profile.outcome = classify(refs_, run, config_.detected_exit_code);
+    return profile;
+  };
 
-  // Leg 1: run with the first fault armed, pausing just before the second
-  // injection point. A run that terminates here is the first fault alone
-  // (the second fault never fires, so its hit address stays the golden one
-  // — matching what the reuse rules record for the same pair).
+  bool from_fork = worker.fork_step <= t &&
+                   std::equal(set, set + prefix, worker.fork_prefix.begin(),
+                              worker.fork_prefix.end());
+  if (from_fork && prefix == 0) {
+    from_fork = worker.fork_step >= nearest_checkpoint(t) * interval_;
+  }
   RunConfig config;
-  config.fault = first;
-  config.fuel = std::min(t2, fuel_);
-  const RunResult leg1 = machine.run(config);
-  if (leg1.reason != StopReason::kFuelExhausted || config.fuel >= fuel_) {
-    return {classify(refs_, leg1, config_.detected_exit_code), golden_second_address};
+  if (from_fork) {
+    timed_restore(worker.fork, machine);
+    std::copy(worker.fork_hits.begin(), worker.fork_hits.end(), hits);
+    if (worker.fork_step < t) {
+      config.fuel = std::min(t, fuel_);
+      const RunResult run = machine.run(config);
+      if (ended(run, config)) return terminated(run);
+    }
+  } else {
+    timed_restore(chain_[nearest_checkpoint(plan[set[0]].spec.trace_index)], machine);
+    for (std::size_t leg = 1; leg < arity; ++leg) {
+      config.fault = plan[set[leg - 1]].spec;
+      config.fuel = std::min(plan[set[leg]].spec.trace_index, fuel_);
+      const RunResult run = machine.run(config);
+      if (ended(run, config)) return terminated(run);
+      // Paused exactly before dynamic step t(leg): rip is the instruction
+      // the next fault actually strikes.
+      hits[leg - 1] = machine.cpu().rip;
+    }
+  }
+  if (prefix > 0) hits[prefix - 1] = machine.cpu().rip;
+
+  const bool at_fork = from_fork && worker.fork_step == t;
+  if (!at_fork && next != nullptr && plan[next[prefix]].spec.trace_index == t &&
+      std::equal(set, set + prefix, next)) {
+    worker.fork = capture(machine);
+    worker.fork_prefix.assign(set, set + prefix);
+    worker.fork_step = t;
+    worker.fork_hits.assign(hits, hits + (prefix > 0 ? prefix - 1 : 0));
   }
 
-  // The machine is paused exactly before executing dynamic step t2: its rip
-  // is the instruction the second fault actually strikes. Deterministic, so
-  // identical across thread counts; equal to the golden address whenever the
-  // first fault's run has reconverged by t2 (the pruned sweep's reuse case).
-  const std::uint64_t second_hit = machine.cpu().rip;
-
-  // Leg 2: arm the second fault and resume, with the same convergence
-  // pruning as the order-1 sweep past the second injection.
-  return {finish_with_pruning(machine, second, (t2 / interval_ + 1) * interval_,
-                              converged)
-              .outcome,
-          second_hit};
+  // The last leg: the last fault armed, with convergence pruning past its
+  // injection point.
+  return finish_with_pruning(machine, plan[set[prefix]].spec,
+                             (t / interval_ + 1) * interval_, pruned);
 }
 
 unsigned Engine::profile_all(const std::vector<PlannedFault>& plan,
@@ -674,152 +730,18 @@ unsigned Engine::profile_all(const std::vector<PlannedFault>& plan,
                              std::atomic<std::uint64_t>& pruned,
                              obs::Progress& progress) const {
   profiles.assign(plan.size(), FaultProfile{});
-  if (!config_.lockstep_batching) {
-    return run_sharded(image_, bad_input_, config_.block_cache, config_.threads,
-                       plan.size(), "sim.worker", &progress,
-                       [&](emu::Machine& machine, std::size_t i) {
-                         profiles[i] = profile_one(machine, plan[i], pruned);
-                       });
-  }
-
-  // Lockstep batching: the plan (grouped by ascending trace index) is cut
-  // into checkpoint segments. A worker restores the segment's checkpoint
-  // once into its walker, advances the walker along the golden prefix once
-  // per distinct injection point, and forks every fault at that point from
-  // a local snapshot into its scratch machine — instead of replaying the
-  // prefix from the checkpoint for every single fault. Determinism makes
-  // this exact: a machine forked at step t is the machine replayed to t.
-  struct Segment {
-    std::size_t begin = 0;
-    std::size_t end = 0;  ///< [begin, end) range of plan indices
-  };
-  std::vector<Segment> segments;
-  for (std::size_t i = 0; i < plan.size();) {
-    const std::uint64_t key = plan[i].spec.trace_index / interval_;
-    std::size_t j = i;
-    while (j < plan.size() && plan[j].spec.trace_index / interval_ == key) ++j;
-    segments.push_back(Segment{i, j});
-    i = j;
-  }
-
-  struct State {
-    emu::Machine walker;
-    emu::Machine scratch;
-  };
+  // A fork at order 1 serves the later steps of its checkpoint segment.
+  const auto bounds = fork_group_chunks(plan.size(), [&](std::size_t a, std::size_t b) {
+    return plan[a].spec.trace_index / interval_ == plan[b].spec.trace_index / interval_;
+  });
   return run_sharded_state(
-      config_.threads, segments.size(), /*chunk=*/1, "sim.worker", nullptr,
-      [&]() {
-        State state{emu::Machine(image_, bad_input_), emu::Machine(image_, bad_input_)};
-        state.walker.set_block_cache_enabled(config_.block_cache);
-        state.scratch.set_block_cache_enabled(config_.block_cache);
-        return state;
-      },
-      [&](State& state, std::size_t s) {
-        const Segment segment = segments[s];
-        const std::size_t checkpoint = std::min<std::size_t>(
-            plan[segment.begin].spec.trace_index / interval_, chain_.size() - 1);
-        timed_restore(chain_[checkpoint], state.walker);
-        RunConfig advance;
-        std::size_t i = segment.begin;
-        while (i < segment.end) {
-          const std::uint64_t t = plan[i].spec.trace_index;
-          // The golden run exits strictly after the last trace index, so
-          // this never terminates early.
-          advance.fuel = t;
-          state.walker.run(advance);
-          const MachineSnapshot at_t = capture(state.walker);
-          const std::uint64_t boundary = (t / interval_ + 1) * interval_;
-          for (; i < segment.end && plan[i].spec.trace_index == t; ++i) {
-            timed_restore(at_t, state.scratch);
-            profiles[i] = finish_with_pruning(state.scratch, plan[i].spec, boundary, pruned);
-          }
-        }
-        progress.tick(segment.end - segment.begin);
-      });
-}
-
-unsigned Engine::simulate_pair_groups(
-    const std::vector<PlannedFault>& plan,
-    const std::vector<std::pair<std::uint32_t, std::uint32_t>>& pairs,
-    const std::vector<std::size_t>& sim_indices, std::vector<Outcome>& outcomes,
-    std::vector<std::uint64_t>& sim_hits, std::atomic<std::uint64_t>& converged,
-    obs::Progress& progress) const {
-  // Pair enumeration is grouped by first fault with ascending second
-  // injection points inside each group — exactly the shape the lockstep
-  // walk wants: one walker runs leg 1 (first fault armed) through the
-  // ascending t2 sequence, pausing at each, and every pair at that t2
-  // forks into the scratch machine for leg 2. simulate_pair's per-pair
-  // decisions are reproduced verbatim at each pause.
-  struct Group {
-    std::size_t begin = 0;
-    std::size_t end = 0;  ///< [begin, end) range into sim_indices
-  };
-  std::vector<Group> groups;
-  for (std::size_t s = 0; s < sim_indices.size();) {
-    const std::uint32_t first = pairs[sim_indices[s]].first;
-    std::size_t e = s;
-    while (e < sim_indices.size() && pairs[sim_indices[e]].first == first) ++e;
-    groups.push_back(Group{s, e});
-    s = e;
-  }
-
-  struct State {
-    emu::Machine walker;
-    emu::Machine scratch;
-  };
-  return run_sharded_state(
-      config_.threads, groups.size(), /*chunk=*/1, "sim.pair_worker", nullptr,
-      [&]() {
-        State state{emu::Machine(image_, bad_input_), emu::Machine(image_, bad_input_)};
-        state.walker.set_block_cache_enabled(config_.block_cache);
-        state.scratch.set_block_cache_enabled(config_.block_cache);
-        return state;
-      },
-      [&](State& state, std::size_t g) {
-        const Group group = groups[g];
-        const emu::FaultSpec& first = plan[pairs[sim_indices[group.begin]].first].spec;
-        const std::uint64_t t1 = first.trace_index;
-        const std::size_t nearest =
-            std::min<std::size_t>(t1 / interval_, chain_.size() - 1);
-        timed_restore(chain_[nearest], state.walker);
-
-        RunConfig leg1_config;
-        leg1_config.fault = first;  // fires exactly once, at step t1
-        bool terminated = false;
-        Outcome terminal_outcome = Outcome::kNoEffect;
-        std::uint64_t walked_t2 = kNeverStep;
-        std::uint64_t second_hit = 0;
-        std::optional<MachineSnapshot> at_t2;
-        for (std::size_t s = group.begin; s < group.end; ++s) {
-          const std::size_t k = sim_indices[s];
-          const emu::FaultSpec& second = plan[pairs[k].second].spec;
-          const std::uint64_t t2 = second.trace_index;
-          if (!terminated && t2 != walked_t2) {
-            leg1_config.fuel = std::min(t2, fuel_);
-            const RunResult leg1 = state.walker.run(leg1_config);
-            if (leg1.reason != StopReason::kFuelExhausted || leg1_config.fuel >= fuel_) {
-              // The first fault's run ended before t2: every remaining pair
-              // of the group (t2 only grows) is the first fault alone.
-              terminated = true;
-              terminal_outcome = classify(refs_, leg1, config_.detected_exit_code);
-            } else {
-              walked_t2 = t2;
-              second_hit = state.walker.cpu().rip;
-              at_t2 = capture(state.walker);
-            }
-          }
-          if (terminated) {
-            outcomes[k] = terminal_outcome;
-            sim_hits[s] = plan[pairs[k].second].address;
-            continue;
-          }
-          timed_restore(*at_t2, state.scratch);
-          outcomes[k] = finish_with_pruning(state.scratch, second,
-                                            (t2 / interval_ + 1) * interval_, converged)
-                            .outcome;
-          sim_hits[s] = second_hit;
-        }
-        progress.tick(group.end - group.begin);
+      config_.threads, bounds, "sim.worker", &progress, [&]() { return make_worker(); },
+      [&](Worker& worker, std::size_t i) {
+        const auto fault = static_cast<std::uint32_t>(i);
+        const std::uint32_t next = fault + 1;
+        profiles[i] = simulate_set(worker, &fault, 1,
+                                   i + 1 < plan.size() ? &next : nullptr, plan, nullptr,
+                                   pruned);
       });
 }
 
@@ -844,8 +766,8 @@ CampaignResult Engine::aggregate_order1(const std::vector<PlannedFault>& plan,
 
 CampaignResult Engine::run(const FaultModels& models) const {
   check(models.order == 1, ErrorKind::kExecution,
-        "the order-1 sweep requires FaultModels::order == 1; order-2 models "
-        "go to run_pairs(), order-k models to run_tuples()");
+        "the order-1 sweep requires FaultModels::order == 1; order-k (k >= 2) "
+        "models go to run_tuples()");
   const std::vector<PlannedFault> plan = enumerate_faults(models, refs_.bad_trace);
   std::vector<FaultProfile> profiles;
   std::atomic<std::uint64_t> pruned_total{0};
@@ -870,224 +792,6 @@ CampaignResult Engine::run(const FaultModels& models) const {
   return result;
 }
 
-PairCampaignResult Engine::run_pairs(const FaultModels& models) const {
-  check(models.order == 2, ErrorKind::kExecution,
-        "run_pairs() requires FaultModels::order == 2");
-  const std::vector<PlannedFault> plan = enumerate_faults(models, refs_.bad_trace);
-  check(plan.size() <= std::numeric_limits<std::uint32_t>::max(), ErrorKind::kExecution,
-        "order-2 sweep: order-1 plan exceeds 2^32 faults");
-  const auto ranges = index_ranges(plan, refs_.bad_trace.size());
-
-  // Pre-count the fan-out (prefix sums over the per-index fault counts) and
-  // refuse oversized sweeps with a clear error instead of exhausting memory
-  // materialising the pair plan below.
-  {
-    const std::uint64_t trace_length = ranges.size();
-    const std::uint64_t window =
-        std::min(models.pair_window, trace_length);
-    std::vector<std::uint64_t> prefix(trace_length + 1, 0);
-    for (std::uint64_t t = 0; t < trace_length; ++t) {
-      prefix[t + 1] = prefix[t] + (ranges[t].second - ranges[t].first);
-    }
-    std::uint64_t pair_count = 0;
-    for (std::uint64_t t1 = 0; t1 + 1 < trace_length; ++t1) {
-      const std::uint64_t faults_here = ranges[t1].second - ranges[t1].first;
-      const std::uint64_t last = std::min(t1 + window, trace_length - 1);
-      pair_count += faults_here * (prefix[last + 1] - prefix[t1 + 1]);
-      if (pair_count > config_.max_pairs) {
-        fail(ErrorKind::kExecution,
-             "order-2 sweep exceeds EngineConfig::max_pairs (" +
-                 std::to_string(config_.max_pairs) +
-                 "); narrow the fault models or pair_window");
-      }
-    }
-  }
-
-  PairCampaignResult result;
-  result.trace_length = refs_.bad_trace.size();
-  result.pair_window = models.pair_window;
-
-  obs::Span run_span("sim.run_pairs");
-  // Reset up front so a sub-nanosecond sweep can't republish a stale rate
-  // (mirrors the order-1 fix).
-  obs::Metrics::instance().gauge("sim.pairs_per_second").set(0);
-  const std::uint64_t pairs_begin = obs::now_ns();
-
-  // ---- phase A: profile every single fault. This *is* the order-1 sweep
-  // (bit-identical to run(models)), plus the reconvergence/termination
-  // metadata pairs are pruned with.
-  std::vector<FaultProfile> profiles;
-  std::atomic<std::uint64_t> pruned_total{0};
-  unsigned threads_profile = 0;
-  {
-    obs::Span span("sim.pairs_profile", obs::args_u64({{"faults", plan.size()}}));
-    obs::Progress progress("order-2 profile", plan.size());
-    threads_profile = profile_all(plan, profiles, pruned_total, progress);
-  }
-
-  std::vector<Outcome> order1_outcomes(profiles.size());
-  for (std::size_t i = 0; i < profiles.size(); ++i) {
-    order1_outcomes[i] = profiles[i].outcome;
-  }
-  result.order1 =
-      aggregate_order1(plan, order1_outcomes, pruned_total.load(), threads_profile);
-  record_order1_metrics(result.order1);
-
-  // ---- phase B: enumerate the pair plan and classify by outcome reuse
-  // wherever the first fault's profile proves the answer. Both rules are
-  // exact, not heuristic: a first fault that reconverged with golden by
-  // step b makes every pair with t2 >= b identical to the second fault
-  // alone, and one that terminated at step e makes every pair with t2 >= e
-  // identical to the first fault alone (the second never fires).
-  std::vector<std::pair<std::uint32_t, std::uint32_t>> pairs;
-  for_each_pair(plan, ranges, models.pair_window, [&](std::size_t i, std::size_t j) {
-    pairs.emplace_back(static_cast<std::uint32_t>(i), static_cast<std::uint32_t>(j));
-  });
-
-  std::vector<Outcome> outcomes(pairs.size(), Outcome::kNoEffect);
-  std::vector<std::uint8_t> needs_sim(pairs.size(), 1);
-  {
-    obs::Span span("sim.pairs_reuse", obs::args_u64({{"pairs", pairs.size()}}));
-    if (config_.pair_outcome_reuse && config_.convergence_pruning) {
-      for (std::size_t k = 0; k < pairs.size(); ++k) {
-        const FaultProfile& first = profiles[pairs[k].first];
-        const std::uint64_t t2 = plan[pairs[k].second].spec.trace_index;
-        if (t2 >= first.reconverge_step) {
-          outcomes[k] = profiles[pairs[k].second].outcome;
-          needs_sim[k] = 0;
-          ++result.reused_from_second;
-        } else if (t2 >= first.end_step) {
-          outcomes[k] = first.outcome;
-          needs_sim[k] = 0;
-          ++result.reused_from_first;
-        }
-      }
-    }
-  }
-
-  // ---- phase C: simulate only the pairs reuse could not classify. The
-  // plan is compacted first so worker chunks stay uniformly full of real
-  // work at high prune rates; slot k is still written only by pair k.
-  std::vector<std::size_t> sim_indices;
-  sim_indices.reserve(pairs.size());
-  for (std::size_t k = 0; k < pairs.size(); ++k) {
-    if (needs_sim[k] != 0) sim_indices.push_back(k);
-  }
-  std::vector<std::uint64_t> sim_hits(sim_indices.size(), 0);
-  std::atomic<std::uint64_t> converged_total{0};
-  unsigned threads_pairs = 0;
-  if (!sim_indices.empty()) {
-    obs::Span span("sim.pairs_simulate",
-                   obs::args_u64({{"pairs", sim_indices.size()}}));
-    obs::Progress progress("order-2 pair sweep", sim_indices.size());
-    if (config_.lockstep_batching) {
-      threads_pairs = simulate_pair_groups(plan, pairs, sim_indices, outcomes,
-                                           sim_hits, converged_total, progress);
-    } else {
-      threads_pairs = run_sharded(
-          image_, bad_input_, config_.block_cache, config_.threads,
-          sim_indices.size(), "sim.pair_worker", &progress,
-          [&](emu::Machine& machine, std::size_t s) {
-            const std::size_t k = sim_indices[s];
-            const PairSim sim =
-                simulate_pair(machine, plan[pairs[k].first].spec,
-                              plan[pairs[k].second].spec,
-                              plan[pairs[k].second].address, converged_total);
-            outcomes[k] = sim.outcome;
-            sim_hits[s] = sim.second_hit_address;
-          });
-    }
-  }
-
-  result.total_pairs = pairs.size();
-  result.converged_pairs = converged_total.load();
-  result.simulated_pairs = pairs.size() - result.reused_pairs();
-  result.threads_used = std::max(threads_profile, threads_pairs);
-  // sim_indices is ascending, so one cursor recovers each simulated pair's
-  // recorded hit address; reused pairs hit the golden address by definition
-  // (reused-from-second means the run had reconverged with golden before t2;
-  // reused-from-first means the second fault never fired).
-  std::size_t sim_cursor = 0;
-  for (std::size_t k = 0; k < pairs.size(); ++k) {
-    std::uint64_t hit = plan[pairs[k].second].address;
-    if (sim_cursor < sim_indices.size() && sim_indices[sim_cursor] == k) {
-      hit = sim_hits[sim_cursor];
-      ++sim_cursor;
-    }
-    ++result.outcome_counts[outcomes[k]];
-    if (outcomes[k] == Outcome::kSuccess) {
-      result.vulnerabilities.push_back(
-          PairVulnerability{plan[pairs[k].first].spec, plan[pairs[k].second].spec,
-                            plan[pairs[k].first].address, plan[pairs[k].second].address,
-                            hit});
-    }
-  }
-
-  // Pair enumeration is grouped by first fault, so one scan counts the
-  // first faults whose entire second-fault fan-out was classified by reuse.
-  for (std::size_t scan = 0; scan < pairs.size();) {
-    const std::uint32_t i = pairs[scan].first;
-    bool all_reused = true;
-    while (scan < pairs.size() && pairs[scan].first == i) {
-      if (needs_sim[scan] != 0) all_reused = false;
-      ++scan;
-    }
-    if (all_reused) ++result.fully_pruned_first_faults;
-  }
-
-  auto& metrics = obs::Metrics::instance();
-  metrics.counter("sim.sweeps_order2").add(1);
-  metrics.counter("sim.pairs_planned").add(result.total_pairs);
-  metrics.counter("sim.pairs_reused_first").add(result.reused_from_first);
-  metrics.counter("sim.pairs_reused_second").add(result.reused_from_second);
-  metrics.counter("sim.pairs_simulated").add(result.simulated_pairs);
-  metrics.counter("sim.pairs_converged").add(result.converged_pairs);
-  for (const auto& [outcome, count] : result.outcome_counts) {
-    metrics.counter("sim.pair_outcome." + std::string(to_string(outcome)))
-        .add(count);
-  }
-  const std::uint64_t pairs_ns = obs::now_ns() - pairs_begin;
-  if (pairs_ns > 0) {
-    metrics.gauge("sim.pairs_per_second")
-        .set(static_cast<std::int64_t>(result.total_pairs * 1'000'000'000ull /
-                                       pairs_ns));
-  }
-  return result;
-}
-
-Outcome Engine::simulate_tuple(emu::Machine& machine, const std::uint32_t* tuple,
-                               std::size_t arity, const std::vector<PlannedFault>& plan,
-                               std::uint64_t* hits,
-                               std::atomic<std::uint64_t>& converged) const {
-  const std::uint64_t t1 = plan[tuple[0]].spec.trace_index;
-  const std::size_t nearest = std::min<std::size_t>(t1 / interval_, chain_.size() - 1);
-  timed_restore(chain_[nearest], machine);
-
-  // Legs 1..arity-1: run with fault i armed, pausing just before fault
-  // i+1's injection point. A leg that terminates classifies the whole tuple
-  // (the remaining faults never fire; their hit slots keep the caller's
-  // golden pre-fill, matching what the reuse rules report for the tuple).
-  RunConfig config;
-  for (std::size_t leg = 1; leg < arity; ++leg) {
-    config.fault = plan[tuple[leg - 1]].spec;
-    config.fuel = std::min(plan[tuple[leg]].spec.trace_index, fuel_);
-    const RunResult run = machine.run(config);
-    if (run.reason != StopReason::kFuelExhausted || config.fuel >= fuel_) {
-      return classify(refs_, run, config_.detected_exit_code);
-    }
-    // Paused exactly before dynamic step t(leg): rip is the instruction the
-    // next fault actually strikes.
-    hits[leg - 1] = machine.cpu().rip;
-  }
-
-  // Final leg: the last fault armed, with the same convergence pruning as
-  // the order-1 sweep past its injection point.
-  const std::uint64_t t_last = plan[tuple[arity - 1]].spec.trace_index;
-  return finish_with_pruning(machine, plan[tuple[arity - 1]].spec,
-                             (t_last / interval_ + 1) * interval_, converged)
-      .outcome;
-}
-
 TupleCampaignResult Engine::run_tuples(const FaultModels& models) const {
   check(models.order >= 2, ErrorKind::kExecution,
         "run_tuples() requires FaultModels::order >= 2");
@@ -1102,11 +806,23 @@ TupleCampaignResult Engine::run_tuples(const FaultModels& models) const {
   result.order = order;
   result.trace_length = refs_.bad_trace.size();
   result.pair_window = models.pair_window;
-  result.max_tuples = models.max_tuples;
+  // The top-level budget binds order >= 3 only: an order-2 sweep (a ladder
+  // rung included) stays exhaustive.
+  const std::uint64_t budget = order >= 3 ? models.max_tuples : 0;
+  result.max_tuples = budget;
   result.sample_seed = models.sample_seed;
 
+  // Order 2 keeps the pair metric names (sim.pairs_*), order >= 3 the tuple
+  // names (sim.tuples_*), so a dashboard sums the two without double
+  // counting.
+  const bool pairs = order == 2;
+  auto& metrics = obs::Metrics::instance();
   obs::Span run_span("sim.run_tuples", obs::args_u64({{"order", order}}));
-  obs::Metrics::instance().gauge("sim.tuples_per_second").set(0);
+  // Reset up front: a sub-nanosecond-resolution sweep must not leave a
+  // previous sweep's rate standing in-process.
+  obs::Gauge& rate =
+      metrics.gauge(pairs ? "sim.pairs_per_second" : "sim.tuples_per_second");
+  rate.set(0);
   const std::uint64_t tuples_begin = obs::now_ns();
 
   // ---- phase A: profile every single fault (the order-1 sweep plus the
@@ -1145,15 +861,14 @@ TupleCampaignResult Engine::run_tuples(const FaultModels& models) const {
     const bool top = m == order;
 
     std::vector<std::uint32_t> flat;
-    if (top && models.max_tuples != 0 && level.enumerated > models.max_tuples) {
+    if (top && budget != 0 && level.enumerated > budget) {
       check(!space.saturated && level.enumerated < kTupleCountCap, ErrorKind::kExecution,
             "order-k sweep: tuple space exceeds 2^63; narrow the fault models "
             "or pair_window");
       level.sampled = true;
-      level.classified = models.max_tuples;
-      obs::Span span("sim.tuples_sample",
-                     obs::args_u64({{"order", m}, {"budget", models.max_tuples}}));
-      flat = sample_level(space, plan, ranges, m, models.max_tuples, models.sample_seed,
+      level.classified = budget;
+      obs::Span span("sim.tuples_sample", obs::args_u64({{"order", m}, {"budget", budget}}));
+      flat = sample_level(space, plan, ranges, m, budget, models.sample_seed,
                           config_.threads);
     } else {
       if (level.enumerated > config_.max_planned_tuples) {
@@ -1162,8 +877,8 @@ TupleCampaignResult Engine::run_tuples(const FaultModels& models) const {
                  std::to_string(level.enumerated) +
                  " tuples, over EngineConfig::max_planned_tuples (" +
                  std::to_string(config_.max_planned_tuples) + "); " +
-                 (top ? "set FaultModels::max_tuples to sample the top level"
-                      : "narrow the fault models or pair_window"));
+                 (top && order >= 3 ? "set FaultModels::max_tuples to sample the top level"
+                                    : "narrow the fault models or pair_window"));
       }
       level.classified = level.enumerated;
       flat.reserve(static_cast<std::size_t>(level.enumerated) * m);
@@ -1218,12 +933,22 @@ TupleCampaignResult Engine::run_tuples(const FaultModels& models) const {
       obs::Progress progress("order-" + std::to_string(order) + " tuple sweep (level " +
                                  std::to_string(m) + ")",
                              sim_indices.size());
-      const unsigned threads = run_sharded(
-          image_, bad_input_, config_.block_cache, config_.threads, sim_indices.size(),
-          "sim.tuple_worker", &progress, [&](emu::Machine& machine, std::size_t s) {
-            const std::size_t n = sim_indices[s];
-            outcomes[n] = simulate_tuple(machine, &flat[n * m], m, plan,
-                                         &sim_hits[s * (m - 1)], converged_total);
+      // Sets sharing their first m - 1 faults can share a fork.
+      const auto bounds =
+          fork_group_chunks(sim_indices.size(), [&](std::size_t a, std::size_t b) {
+            return std::equal(&flat[sim_indices[a] * m], &flat[sim_indices[a] * m] + m - 1,
+                              &flat[sim_indices[b] * m]);
+          });
+      const unsigned threads = run_sharded_state(
+          config_.threads, bounds, "sim.tuple_worker", &progress,
+          [&]() { return make_worker(); },
+          [&](Worker& worker, std::size_t s) {
+            const std::uint32_t* next =
+                s + 1 < sim_indices.size() ? &flat[sim_indices[s + 1] * m] : nullptr;
+            outcomes[sim_indices[s]] =
+                simulate_set(worker, &flat[sim_indices[s] * m], m, next, plan,
+                             &sim_hits[s * (m - 1)], converged_total)
+                    .outcome;
           });
       threads_used = std::max(threads_used, threads);
     }
@@ -1293,22 +1018,23 @@ TupleCampaignResult Engine::run_tuples(const FaultModels& models) const {
   result.sampled = summit.sampled;
   result.threads_used = threads_used;
 
-  auto& metrics = obs::Metrics::instance();
-  metrics.counter("sim.sweeps_orderk").add(1);
-  metrics.counter("sim.tuples_planned").add(result.total_tuples);
-  metrics.counter("sim.tuples_reused_suffix").add(summit.reused_suffix);
-  metrics.counter("sim.tuples_reused_prefix").add(summit.reused_prefix);
-  metrics.counter("sim.tuples_simulated").add(summit.simulated);
-  metrics.counter("sim.tuples_converged").add(summit.converged);
+  const std::string prefix = pairs ? "sim.pairs_" : "sim.tuples_";
+  metrics.counter(pairs ? "sim.sweeps_order2" : "sim.sweeps_orderk").add(1);
+  metrics.counter(prefix + "planned").add(result.total_tuples);
+  metrics.counter(prefix + (pairs ? "reused_first" : "reused_prefix"))
+      .add(summit.reused_prefix);
+  metrics.counter(prefix + (pairs ? "reused_second" : "reused_suffix"))
+      .add(summit.reused_suffix);
+  metrics.counter(prefix + "simulated").add(summit.simulated);
+  metrics.counter(prefix + "converged").add(summit.converged);
   for (const auto& [outcome, outcome_count] : result.outcome_counts) {
-    metrics.counter("sim.tuple_outcome." + std::string(to_string(outcome)))
+    metrics.counter((pairs ? "sim.pair_outcome." : "sim.tuple_outcome.") +
+                    std::string(to_string(outcome)))
         .add(outcome_count);
   }
   const std::uint64_t tuples_ns = obs::now_ns() - tuples_begin;
   if (tuples_ns > 0) {
-    metrics.gauge("sim.tuples_per_second")
-        .set(static_cast<std::int64_t>(result.total_tuples * 1'000'000'000ull /
-                                       tuples_ns));
+    rate.set(static_cast<std::int64_t>(result.total_tuples * 1'000'000'000ull / tuples_ns));
   }
   return result;
 }
@@ -1376,62 +1102,6 @@ std::string CampaignResult::to_json() const {
   }
   json += "]\n}\n";
   return json;
-}
-
-std::map<std::pair<std::uint64_t, std::uint64_t>, std::uint64_t>
-PairCampaignResult::merged_vulnerable_pairs() const {
-  std::map<std::pair<std::uint64_t, std::uint64_t>, std::uint64_t> merged;
-  for (const PairVulnerability& v : vulnerabilities) {
-    ++merged[{v.first_address, v.second_address}];
-  }
-  return merged;
-}
-
-std::vector<std::pair<std::uint64_t, std::uint64_t>>
-PairCampaignResult::vulnerable_address_pairs() const {
-  std::vector<std::pair<std::uint64_t, std::uint64_t>> addresses;
-  for (const auto& [address_pair, hits] : merged_vulnerable_pairs()) {
-    addresses.push_back(address_pair);
-  }
-  return addresses;
-}
-
-std::vector<std::uint64_t> pair_patch_sites(const std::vector<PairVulnerability>& pairs) {
-  std::vector<std::uint64_t> sites;
-  sites.reserve(pairs.size() * 2);
-  for (const PairVulnerability& v : pairs) {
-    sites.push_back(v.first_address);
-    sites.push_back(v.second_hit_address);
-  }
-  std::sort(sites.begin(), sites.end());
-  sites.erase(std::unique(sites.begin(), sites.end()), sites.end());
-  return sites;
-}
-
-std::vector<std::uint64_t> PairCampaignResult::patch_sites() const {
-  return pair_patch_sites(strictly_higher_order());
-}
-
-std::vector<PairVulnerability> strictly_higher_order(
-    const std::vector<Vulnerability>& singles,
-    const std::vector<PairVulnerability>& pairs) {
-  const auto key = [](const emu::FaultSpec& spec) {
-    return std::tuple(static_cast<unsigned>(spec.kind), spec.trace_index, spec.bit_offset);
-  };
-  std::set<std::tuple<unsigned, std::uint64_t, std::uint32_t>> single;
-  for (const Vulnerability& v : singles) single.insert(key(v.spec));
-
-  std::vector<PairVulnerability> out;
-  for (const PairVulnerability& pair : pairs) {
-    if (!single.contains(key(pair.first)) && !single.contains(key(pair.second))) {
-      out.push_back(pair);
-    }
-  }
-  return out;
-}
-
-std::vector<PairVulnerability> PairCampaignResult::strictly_higher_order() const {
-  return sim::strictly_higher_order(order1.vulnerabilities, vulnerabilities);
 }
 
 std::vector<std::uint64_t> tuple_patch_sites(const std::vector<TupleVulnerability>& tuples) {
@@ -1542,51 +1212,6 @@ std::string TupleCampaignResult::to_json() const {
       json += "\"" + support::hex_string(address) + "\"";
     }
     json += "], \"hits\": " + std::to_string(hits) + "}";
-  }
-  json += "],\n";
-  json += "  \"patch_sites\": [";
-  first = true;
-  for (const std::uint64_t site : patch_sites()) {
-    if (!first) json += ", ";
-    first = false;
-    json += "\"" + support::hex_string(site) + "\"";
-  }
-  json += "]\n}\n";
-  return json;
-}
-
-std::string PairCampaignResult::to_json() const {
-  std::string json = "{\n";
-  json += "  \"trace_length\": " + std::to_string(trace_length) + ",\n";
-  json += "  \"pair_window\": " + std::to_string(pair_window) + ",\n";
-  json += "  \"total_pairs\": " + std::to_string(total_pairs) + ",\n";
-  json += "  \"reused_from_first\": " + std::to_string(reused_from_first) + ",\n";
-  json += "  \"reused_from_second\": " + std::to_string(reused_from_second) + ",\n";
-  json += "  \"simulated_pairs\": " + std::to_string(simulated_pairs) + ",\n";
-  json += "  \"converged_pairs\": " + std::to_string(converged_pairs) + ",\n";
-  json += "  \"fully_pruned_first_faults\": " + std::to_string(fully_pruned_first_faults) +
-          ",\n";
-  json += "  \"threads\": " + std::to_string(threads_used) + ",\n";
-  json += "  \"order1_total_faults\": " + std::to_string(order1.total_faults) + ",\n";
-  json += "  \"order1_successful\": " + std::to_string(order1.count(Outcome::kSuccess)) +
-          ",\n";
-  json += "  \"outcomes\": {";
-  bool first = true;
-  for (const auto& [outcome, count] : outcome_counts) {
-    if (!first) json += ", ";
-    first = false;
-    json += "\"" + std::string(to_string(outcome)) + "\": " + std::to_string(count);
-  }
-  json += "},\n";
-
-  json += "  \"vulnerable_pairs\": [";
-  first = true;
-  for (const auto& [addresses, hits] : merged_vulnerable_pairs()) {
-    if (!first) json += ", ";
-    first = false;
-    json += "{\"first\": \"" + support::hex_string(addresses.first) +
-            "\", \"second\": \"" + support::hex_string(addresses.second) +
-            "\", \"hits\": " + std::to_string(hits) + "}";
   }
   json += "],\n";
   json += "  \"patch_sites\": [";

@@ -78,24 +78,23 @@ struct FaultModels {
   std::vector<unsigned> register_flip_regs = {0, 1, 2, 3, 6, 7};
   unsigned register_flip_bit_stride = 8;
 
-  /// Campaign order: 1 sweeps single faults (Engine::run), 2 sweeps fault
-  /// *pairs* (f1 at t1, f2 at t2) with 0 < t2 - t1 <= pair_window
-  /// (Engine::run_pairs), k >= 3 sweeps fault k-tuples (f1 at t1, ..., fk
-  /// at tk) with every consecutive gap 0 < t(i+1) - t(i) <= pair_window
-  /// (Engine::run_tuples). All faults of a set draw from the same model
-  /// set above. Each entry point rejects models of the other orders, so an
-  /// order-k request can never silently degrade to a lower-order sweep.
+  /// Campaign order: 1 sweeps single faults (Engine::run), k >= 2 sweeps
+  /// fault k-tuples (f1 at t1, ..., fk at tk) with every consecutive gap
+  /// 0 < t(i+1) - t(i) <= pair_window (Engine::run_tuples) — at k = 2, the
+  /// fault *pairs*. All faults of a set draw from the same model set above.
+  /// Each entry point rejects models of the other orders, so an order-k
+  /// request can never silently degrade to a lower-order sweep.
   unsigned order = 1;
   std::uint64_t pair_window = 8;
 
   /// Order-k (>= 3) sweeps: budget on the number of k-tuples classified at
-  /// the top level. 0 sweeps the whole space. A non-zero budget smaller
-  /// than the space switches the top level to seeded sampling: a
-  /// rank-uniform subset of exactly `max_tuples` tuples, drawn with
-  /// support::Rng::for_stream(sample_seed, shard) keyed on the tuple plan
-  /// (never on threads), so the sampled set is identical at every thread
-  /// count. Intermediate levels (the recursive pruning base) are always
-  /// exhaustive.
+  /// the top level. 0 sweeps the whole space; order-2 sweeps ignore it and
+  /// stay exhaustive. A non-zero budget smaller than the space switches the
+  /// top level to seeded sampling: a rank-uniform subset of exactly
+  /// `max_tuples` tuples, drawn with support::Rng::for_stream(sample_seed,
+  /// shard) keyed on the tuple plan (never on threads), so the sampled set
+  /// is identical at every thread count. Intermediate levels (the recursive
+  /// pruning base) are always exhaustive.
   std::uint64_t max_tuples = 0;
   std::uint64_t sample_seed = 0x5eed;
 };
@@ -199,35 +198,25 @@ struct EngineConfig {
   /// golden run at a checkpoint boundary (sound: the machine is
   /// deterministic). Disable to force every run to completion.
   bool convergence_pruning = true;
-  /// Order-2 sweeps: classify a pair without simulating it whenever the
-  /// order-1 profile of the first fault proves the answer — the first
-  /// fault's run reconverged with golden before the second strikes (pair ≡
-  /// second fault alone), or terminated before the second strikes (pair ≡
-  /// first fault alone). Exact, hence bit-identical to exhaustive
-  /// enumeration; requires convergence_pruning. Disable to force every
-  /// pair through the simulator.
+  /// Order-k (>= 2) sweeps: classify a fault set without simulating it
+  /// whenever the profile of its first fault proves the answer — the first
+  /// fault's run reconverged with golden before the second strikes (set ≡
+  /// its tail alone), or terminated before the second strikes (set ≡ first
+  /// fault alone). Exact, hence bit-identical to exhaustive enumeration;
+  /// requires convergence_pruning. Disable to force every set through the
+  /// simulator.
   bool pair_outcome_reuse = true;
-  /// Order-2 sweeps materialise the pair plan up front (~18 bytes/pair of
-  /// bookkeeping); run_pairs pre-counts the fan-out and throws a clear
-  /// Error{kExecution} instead of exhausting memory when it exceeds this.
-  std::uint64_t max_pairs = 1ULL << 27;
-  /// Order-k (>= 3) sweeps materialise one level's tuple plan at a time
-  /// (4·level bytes per tuple). A level that would exceed this cap throws
-  /// Error{kExecution} — except the top level, which falls back to seeded
-  /// sampling when FaultModels::max_tuples allows it.
-  std::uint64_t max_planned_tuples = 1ULL << 24;
+  /// Order-k (>= 2) sweeps materialise one level's fault-set plan at a time
+  /// (about 4·m + 2 bytes per level-m set, see docs/higher-order.md). A
+  /// level that would exceed this cap throws Error{kExecution} — except the
+  /// top level of an order >= 3 sweep, which falls back to seeded sampling
+  /// when FaultModels::max_tuples allows it.
+  std::uint64_t max_planned_tuples = 1ULL << 27;
   /// Execute every engine machine (references, checkpoint recorder, sweep
   /// workers) through the emu decoded-block cache. Off reverts to per-step
   /// fetch+decode — the bench baseline. Classification is bit-identical
   /// either way.
   bool block_cache = true;
-  /// Lockstep batched sweeps: all faults sharing a checkpoint segment run
-  /// behind one golden-prefix walker (restore the checkpoint once, walk
-  /// each prefix once, fork every fault from a per-index snapshot) instead
-  /// of replaying the prefix per fault. Bit-identical to the per-fault
-  /// schedule — the machine is deterministic, so forking from a snapshot
-  /// at step t equals replaying to step t.
-  bool lockstep_batching = true;
 };
 
 /// Sweep outcome aggregation (deterministic across thread counts).
@@ -264,100 +253,15 @@ struct CampaignResult {
   [[nodiscard]] std::string to_json() const;
 };
 
-/// One successful fault pair: a second-order breach of the binary.
-struct PairVulnerability {
-  emu::FaultSpec first;
-  emu::FaultSpec second;
-  std::uint64_t first_address = 0;
-  /// Static address of trace index `second` in the *golden* bad-input trace.
-  std::uint64_t second_address = 0;
-  /// Static address the second fault actually struck. Once the first fault
-  /// redirects control (e.g. skips a branch), the faulted run diverges from
-  /// the golden trace and the instruction at step t2 is a different one —
-  /// this is the address a patcher must strengthen, not `second_address`.
-  /// Equal to `second_address` when the first fault's run reconverged (or
-  /// terminated) before the second fault fired. Deterministic: identical
-  /// across thread counts and across pruned/exhaustive sweeps.
-  std::uint64_t second_hit_address = 0;
-
-  friend bool operator==(const PairVulnerability&, const PairVulnerability&) = default;
-};
-
-/// Pair → static-site attribution: the distinct addresses implicated by
-/// `pairs` — every first fault's address plus the address its second fault
-/// actually struck — sorted, deduplicated. The one attribution rule shared
-/// by PairCampaignResult::patch_sites(), the patcher and the pipeline.
-std::vector<std::uint64_t> pair_patch_sites(const std::vector<PairVulnerability>& pairs);
-
-/// The pairs of `pairs` neither of whose component faults appears in
-/// `singles` — the one pair-identity rule shared by
-/// PairCampaignResult::strictly_higher_order() and the flattened
-/// fault::CampaignResult counterpart.
-std::vector<PairVulnerability> strictly_higher_order(
-    const std::vector<Vulnerability>& singles,
-    const std::vector<PairVulnerability>& pairs);
-
-/// Order-2 sweep aggregation (deterministic across thread counts). Carries
-/// the order-1 sweep it was pruned against, so callers get the "does the
-/// second fault add anything?" comparison for free.
-struct PairCampaignResult {
-  std::vector<PairVulnerability> vulnerabilities;
-  std::map<Outcome, std::uint64_t> outcome_counts;  ///< per-pair outcome counts
-  std::uint64_t total_pairs = 0;
-  std::uint64_t trace_length = 0;
-  std::uint64_t pair_window = 0;
-
-  /// The order-1 sweep over the same models (phase A of the pair sweep);
-  /// bit-identical to Engine::run(models).
-  CampaignResult order1;
-
-  // Engine telemetry.
-  std::uint64_t reused_from_second = 0;  ///< pair ≡ second fault alone
-  std::uint64_t reused_from_first = 0;   ///< pair ≡ first fault alone
-  std::uint64_t simulated_pairs = 0;     ///< pairs that went through the simulator
-  std::uint64_t converged_pairs = 0;     ///< simulated pairs cut at a checkpoint
-  std::uint64_t fully_pruned_first_faults = 0;  ///< first faults whose whole fan-out was reused
-  unsigned threads_used = 0;
-
-  [[nodiscard]] std::uint64_t reused_pairs() const noexcept {
-    return reused_from_first + reused_from_second;
-  }
-  [[nodiscard]] std::uint64_t count(Outcome outcome) const {
-    const auto it = outcome_counts.find(outcome);
-    return it == outcome_counts.end() ? 0 : it->second;
-  }
-  /// Distinct (first, second) static address pairs with at least one
-  /// successful pair — the order-2 analogue of "vulnerable points".
-  [[nodiscard]] std::vector<std::pair<std::uint64_t, std::uint64_t>>
-  vulnerable_address_pairs() const;
-  /// Successful pairs merged by (first, second) static address — the one
-  /// merge key shared by to_json() and the text report.
-  [[nodiscard]] std::map<std::pair<std::uint64_t, std::uint64_t>, std::uint64_t>
-  merged_vulnerable_pairs() const;
-  /// Successful pairs neither of whose component faults succeeds alone —
-  /// the vulnerabilities only a higher-order campaign can surface.
-  [[nodiscard]] std::vector<PairVulnerability> strictly_higher_order() const;
-  /// Pair → static-site attribution: the distinct static addresses an
-  /// order-2 patcher must strengthen *beyond* order-1 patching — for every
-  /// strictly-second-order pair, the first fault's address and the address
-  /// the second fault *actually* struck (second_hit_address, which diverges
-  /// from the golden-trace address once the first fault redirects control).
-  /// Pairs one of whose faults succeeds alone are excluded: they are the
-  /// order-1 vulnerability republished (and reuse-from-first pads them with
-  /// golden addresses the second fault never executes). Sorted, dedup'd.
-  [[nodiscard]] std::vector<std::uint64_t> patch_sites() const;
-
-  /// JSON document for downstream tooling, mirroring CampaignResult.
-  [[nodiscard]] std::string to_json() const;
-};
-
 /// One successful fault k-tuple: an order-k breach of the binary. The
 /// faults are in ascending trace-index order; `addresses` are the golden
 /// static addresses of the faulted trace entries, `hit_addresses` the
-/// addresses each fault *actually* struck (they diverge once an earlier
-/// fault of the tuple redirects control — the order-k generalisation of
-/// PairVulnerability::second_hit_address, with the same determinism
-/// contract: identical across thread counts and pruned/exhaustive sweeps).
+/// addresses each fault *actually* struck: once an earlier fault of the
+/// tuple redirects control, the faulted run leaves the golden trace and the
+/// instruction at a later fault's step is a different one — the address a
+/// patcher must strengthen. A fault that never fires (an earlier fault's run
+/// terminated first) keeps its golden address. Deterministic: identical
+/// across thread counts and pruned/exhaustive sweeps.
 struct TupleVulnerability {
   std::vector<emu::FaultSpec> faults;
   std::vector<std::uint64_t> addresses;
@@ -367,13 +271,15 @@ struct TupleVulnerability {
 };
 
 /// Tuple → static-site attribution: the distinct addresses the faults of
-/// `tuples` actually struck — sorted, deduplicated. The order-k analogue of
-/// pair_patch_sites (for pairs the two rules coincide: the first fault of a
-/// set always strikes its golden address).
+/// `tuples` actually struck — sorted, deduplicated (the first fault of a set
+/// always strikes its golden address). The one attribution rule shared by
+/// TupleCampaignResult::patch_sites(), the patcher and the pipeline.
 std::vector<std::uint64_t> tuple_patch_sites(const std::vector<TupleVulnerability>& tuples);
 
 /// The tuples of `tuples` none of whose component faults appears in
-/// `singles` — the order-k analogue of strictly_higher_order for pairs.
+/// `singles` — the one set-identity rule shared by
+/// TupleCampaignResult::strictly_higher_order() and the flattened
+/// fault::CampaignResult counterparts.
 std::vector<TupleVulnerability> strictly_order_k(
     const std::vector<Vulnerability>& singles,
     const std::vector<TupleVulnerability>& tuples);
@@ -443,7 +349,7 @@ struct TupleCampaignResult {
   [[nodiscard]] std::map<std::vector<std::uint64_t>, std::uint64_t>
   merged_vulnerable_tuples() const;
 
-  /// JSON document for downstream tooling, mirroring PairCampaignResult.
+  /// JSON document for downstream tooling (schema in docs/formats.md).
   [[nodiscard]] std::string to_json() const;
 };
 
@@ -460,20 +366,14 @@ class Engine {
   /// worker threads; run one sweep at a time per engine.
   CampaignResult run(const FaultModels& models) const;
 
-  /// Runs the order-2 sweep: phase A profiles every single fault (the
-  /// order-1 sweep, plus reconvergence/termination metadata), phase B
-  /// classifies every pair — by outcome reuse where the profile proves the
-  /// answer, through the simulator otherwise. Bit-identical across thread
-  /// counts and across pair_outcome_reuse on/off.
-  PairCampaignResult run_pairs(const FaultModels& models) const;
-
   /// Runs the order-k sweep for `models.order >= 2`: phase A profiles every
   /// single fault, then every level m = 2..k is classified bottom-up — by
   /// recursive outcome reuse where a profile proves the answer (a first
   /// fault that reconverged before the second strikes reduces the m-tuple
   /// to its (m-1)-tail; one that terminated reduces it to the first fault
-  /// alone), through the multi-leg simulator otherwise. Intermediate levels
-  /// are exhaustive; the top level honours FaultModels::max_tuples via
+  /// alone), through the multi-leg simulator otherwise. Order 2 is the pair
+  /// sweep. Intermediate levels and order-2 sweeps are exhaustive; the top
+  /// level of an order >= 3 sweep honours FaultModels::max_tuples via
   /// seeded sampling. Bit-identical across thread counts and across
   /// pair_outcome_reuse / convergence_pruning on/off (restricted to the
   /// same classified set).
@@ -492,9 +392,9 @@ class Engine {
  private:
   static constexpr std::uint64_t kNeverStep = ~std::uint64_t{0};
 
-  /// What one first fault does on its own: the order-1 outcome plus the two
-  /// step counts the pair sweep prunes with. kNeverStep means "not before
-  /// the run ended / not observed".
+  /// What one fault set does: its outcome plus, for a single fault, the
+  /// two step counts the higher-order levels prune with. kNeverStep means
+  /// "not before the run ended / not observed".
   struct FaultProfile {
     Outcome outcome = Outcome::kNoEffect;
     /// First checkpoint boundary where the faulted state matched golden;
@@ -505,79 +405,47 @@ class Engine {
     std::uint64_t end_step = kNeverStep;
   };
 
-  /// Simulates one planned fault on a worker-owned machine and records its
-  /// profile. With convergence pruning enabled the boundary scan both
-  /// classifies early and yields the reconvergence step the pair sweep
-  /// prunes with; `pruned` counts runs classified that way.
-  FaultProfile profile_one(emu::Machine& machine, const PlannedFault& fault,
-                           std::atomic<std::uint64_t>& pruned) const;
+  /// One sweep worker: a private machine plus at most one fork (defined in
+  /// engine.cpp).
+  struct Worker;
+  [[nodiscard]] Worker make_worker() const;
 
   /// Runs `machine` to completion with `fault` armed, scanning checkpoint
   /// boundaries from `boundary` on and pruning as soon as the state matches
-  /// golden. The one boundary loop shared by the order-1 and pair sweeps;
-  /// `pruned` counts runs classified via the state match.
+  /// golden. `pruned` counts runs classified via the state match.
   FaultProfile finish_with_pruning(emu::Machine& machine, const emu::FaultSpec& fault,
                                    std::uint64_t boundary,
                                    std::atomic<std::uint64_t>& pruned) const;
 
-  /// Outcome of one simulated pair plus where the second fault landed.
-  struct PairSim {
-    Outcome outcome = Outcome::kNoEffect;
-    std::uint64_t second_hit_address = 0;
-  };
+  /// Simulates one fault set of any order on `worker`: `set` holds `arity`
+  /// order-1 plan indices at ascending trace indices, `next` the set the
+  /// worker simulates after it (same arity; null when none). Each fault is
+  /// armed for one leg, paused just before the next fault's step; the last
+  /// leg finishes under convergence pruning. A leg that terminates early
+  /// classifies the set at once (the remaining faults never fire).
+  /// `hits[i]` receives the address fault i+2 actually strikes (the
+  /// machine's rip at each pause); the caller pre-fills it with the golden
+  /// addresses, which stay in place for faults never reached — matching
+  /// what the reuse rules report for the same set. `pruned` counts runs
+  /// cut at a checkpoint. The fork rule is in engine.cpp.
+  FaultProfile simulate_set(Worker& worker, const std::uint32_t* set, std::size_t arity,
+                            const std::uint32_t* next,
+                            const std::vector<PlannedFault>& plan, std::uint64_t* hits,
+                            std::atomic<std::uint64_t>& pruned) const;
 
-  /// Simulates one fault pair: rehydrate before the first fault, run to the
-  /// second injection point, continue with the second fault armed.
-  /// `golden_second_address` is the fallback hit address when the second
-  /// fault never fires (the first fault's run terminated early) — it keeps
-  /// the record identical to what the reuse rules report for the same pair.
-  /// `converged` counts pair runs cut early at a checkpoint boundary.
-  PairSim simulate_pair(emu::Machine& machine, const emu::FaultSpec& first,
-                        const emu::FaultSpec& second,
-                        std::uint64_t golden_second_address,
-                        std::atomic<std::uint64_t>& converged) const;
-
-  /// Simulates one k-tuple: rehydrate before the first fault, then one leg
-  /// per fault — fault i armed, paused just before fault i+1's injection
-  /// point — with the final leg finished under convergence pruning. A leg
-  /// that terminates early classifies immediately (the remaining faults
-  /// never fire). `hits[i]` receives the address fault i+2 actually strikes
-  /// (the machine's rip at each pause); the caller pre-fills it with the
-  /// golden addresses, which stay in place for legs never reached — keeping
-  /// the record identical to what the reuse rules report for the same
-  /// tuple. `tuple` holds `arity` order-1 plan indices.
-  Outcome simulate_tuple(emu::Machine& machine, const std::uint32_t* tuple,
-                         std::size_t arity, const std::vector<PlannedFault>& plan,
-                         std::uint64_t* hits,
-                         std::atomic<std::uint64_t>& converged) const;
-
-  /// The one order-1 aggregation shared by run() and run_pairs() phase A —
+  /// The one order-1 aggregation shared by run() and run_tuples() phase A —
   /// what keeps the two sweeps bit-identical by construction.
   CampaignResult aggregate_order1(const std::vector<PlannedFault>& plan,
                                   const std::vector<Outcome>& outcomes,
                                   std::uint64_t pruned, unsigned threads) const;
 
-  /// Profiles every fault of `plan` into `profiles` — the shared heart of
-  /// run() and run_pairs() phase A. Per-fault profile_one scheduling, or
-  /// the lockstep batched segment walk when config_.lockstep_batching is
-  /// on; slot i is written only by fault i either way. Returns the thread
-  /// count used.
+  /// Profiles every fault of `plan` into `profiles` (simulate_set at arity
+  /// 1) — the shared heart of run() and run_tuples() phase A; slot i is
+  /// written only by fault i. Returns the thread count used.
   unsigned profile_all(const std::vector<PlannedFault>& plan,
                        std::vector<FaultProfile>& profiles,
                        std::atomic<std::uint64_t>& pruned,
                        obs::Progress& progress) const;
-
-  /// Phase C batched counterpart of simulate_pair: pairs needing
-  /// simulation, grouped by first fault, execute behind one walker with the
-  /// first fault armed, advancing through ascending second-injection
-  /// points. Writes outcomes[k] / sim_hits[s] exactly like the per-pair
-  /// schedule.
-  unsigned simulate_pair_groups(
-      const std::vector<PlannedFault>& plan,
-      const std::vector<std::pair<std::uint32_t, std::uint32_t>>& pairs,
-      const std::vector<std::size_t>& sim_indices, std::vector<Outcome>& outcomes,
-      std::vector<std::uint64_t>& sim_hits, std::atomic<std::uint64_t>& converged,
-      obs::Progress& progress) const;
 
   elf::Image image_;
   std::string bad_input_;

@@ -324,31 +324,35 @@ TEST(FaultInjection, OutOfRangeBitFlipFailsLoudlyInBothModes) {
   }
 }
 
-// ---- engine: cached+batched vs legacy classification ------------------------
+// ---- engine: cached vs uncached classification -----------------------------
 
-TEST(BlockCacheEngine, CampaignJsonIdenticalToUncachedUnbatchedEngine) {
+TEST(BlockCacheEngine, CampaignJsonIdenticalToUncachedEngine) {
   const guests::Guest& guest = guests::pincheck();
   const elf::Image image = guests::build_image(guest);
 
-  sim::EngineConfig fast;
-  fast.threads = 1;
-  sim::EngineConfig legacy = fast;
-  legacy.block_cache = false;
-  legacy.lockstep_batching = false;
+  sim::EngineConfig cached_config;
+  cached_config.threads = 1;
+  sim::EngineConfig uncached_config = cached_config;
+  uncached_config.block_cache = false;
 
-  const sim::Engine cached(image, guest.good_input, guest.bad_input, fast);
-  const sim::Engine baseline(image, guest.good_input, guest.bad_input, legacy);
+  const sim::Engine cached(image, guest.good_input, guest.bad_input, cached_config);
+  const sim::Engine uncached(image, guest.good_input, guest.bad_input, uncached_config);
 
   sim::FaultModels models;  // skip + bit flip
-  EXPECT_EQ(cached.run(models).to_json(), baseline.run(models).to_json());
+  EXPECT_EQ(cached.run(models).to_json(), uncached.run(models).to_json());
 
   models.bit_flip = false;  // keep the pair fan-out tier-1-sized
   models.order = 2;
   models.pair_window = 4;
-  EXPECT_EQ(cached.run_pairs(models).to_json(), baseline.run_pairs(models).to_json());
+  const sim::TupleCampaignResult a = cached.run_tuples(models);
+  const sim::TupleCampaignResult b = uncached.run_tuples(models);
+  EXPECT_EQ(a.to_json(), b.to_json());
+  EXPECT_EQ(a.patch_sites(), b.patch_sites());
 }
 
-TEST(BlockCacheEngine, PairSweepIdenticalPrunedVsExhaustiveWithBatching) {
+TEST(BlockCacheEngine, PairSweepIdenticalPrunedVsExhaustiveAndAcrossThreads) {
+  // Skip + bit flip: every step carries a fan-out of faults, so both the
+  // profile and the pair level start most sets from a worker's fork.
   const guests::Guest& guest = guests::toymov();
   const elf::Image image = guests::build_image(guest);
 
@@ -356,17 +360,26 @@ TEST(BlockCacheEngine, PairSweepIdenticalPrunedVsExhaustiveWithBatching) {
   pruned.threads = 1;
   sim::EngineConfig exhaustive = pruned;
   exhaustive.pair_outcome_reuse = false;
+  sim::EngineConfig eight = pruned;
+  eight.threads = 8;
 
   sim::FaultModels models;
   models.order = 2;
   models.pair_window = 4;
 
-  const sim::PairCampaignResult a =
-      sim::Engine(image, guest.good_input, guest.bad_input, pruned).run_pairs(models);
-  const sim::PairCampaignResult b =
-      sim::Engine(image, guest.good_input, guest.bad_input, exhaustive).run_pairs(models);
+  const sim::TupleCampaignResult a =
+      sim::Engine(image, guest.good_input, guest.bad_input, pruned).run_tuples(models);
+  const sim::TupleCampaignResult b =
+      sim::Engine(image, guest.good_input, guest.bad_input, exhaustive).run_tuples(models);
+  const sim::TupleCampaignResult c =
+      sim::Engine(image, guest.good_input, guest.bad_input, eight).run_tuples(models);
   EXPECT_EQ(a.vulnerabilities, b.vulnerabilities);
   EXPECT_EQ(a.outcome_counts, b.outcome_counts);
+  EXPECT_EQ(a.patch_sites(), b.patch_sites());
+  EXPECT_EQ(a.vulnerabilities, c.vulnerabilities);
+  EXPECT_EQ(a.outcome_counts, c.outcome_counts);
+  EXPECT_EQ(a.patch_sites(), c.patch_sites());
+  EXPECT_EQ(c.threads_used, 8u);
 }
 
 // ---- gauge reset (stale-rate regression) ------------------------------------
@@ -386,7 +399,7 @@ TEST(EngineGauges, SweepRateGaugesResetAtSweepStart) {
       << "order-1 sweep left a stale faults/sec value standing";
 
   models.order = 2;
-  engine.run_pairs(models);
+  engine.run_tuples(models);
   EXPECT_NE(metrics.gauge("sim.pairs_per_second").value(), 123456789)
       << "order-2 sweep left a stale pairs/sec value standing";
 }

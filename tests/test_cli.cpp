@@ -140,20 +140,23 @@ TEST(Cli, CampaignTextReportsTheSweep) {
 }
 
 TEST(Cli, CampaignOrder2EmitsPairReports) {
+  // Order 2 renders through the order-k renderers, at order 2.
   const CliResult text = run_cli({"campaign", "toymov", "--model", "skip", "--order", "2"});
   EXPECT_EQ(text.exit_code, 0);
-  EXPECT_NE(text.out.find("order-2 pairs:"), std::string::npos);
+  EXPECT_NE(text.out.find("residual 2-tuple campaign: toymov"), std::string::npos);
+  EXPECT_NE(text.out.find("order-2 tuples:"), std::string::npos);
 
   const CliResult json = run_cli(
       {"campaign", "toymov", "--model", "skip", "--order", "2", "--format", "json"});
   EXPECT_EQ(json.exit_code, 0);
+  EXPECT_NE(json.out.find("\"order\": 2,"), std::string::npos);
   EXPECT_NE(json.out.find("\"pair_window\": 8"), std::string::npos);
-  EXPECT_NE(json.out.find("\"vulnerable_pairs\""), std::string::npos);
+  EXPECT_NE(json.out.find("\"vulnerable_tuples\""), std::string::npos);
 
   const CliResult markdown = run_cli(
       {"campaign", "toymov", "--model", "skip", "--order", "2", "--format", "markdown"});
   EXPECT_EQ(markdown.exit_code, 0);
-  EXPECT_NE(markdown.out.find("### Double-fault campaign: toymov"), std::string::npos);
+  EXPECT_NE(markdown.out.find("### 2-tuple fault campaign: toymov"), std::string::npos);
 }
 
 TEST(Cli, CampaignOutWritesTheReportFile) {

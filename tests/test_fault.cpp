@@ -140,9 +140,11 @@ TEST(Campaign, OrderTwoKnobSweepsFaultPairs) {
   for (const auto& [outcome, count] : result.pair_outcome_counts) pair_sum += count;
   EXPECT_EQ(pair_sum, result.total_pairs);
   EXPECT_EQ(result.pair_count(Outcome::kSuccess), result.pair_vulnerabilities.size());
-  for (const PairVulnerability& pair : result.pair_vulnerabilities) {
-    EXPECT_LT(pair.first.trace_index, pair.second.trace_index);
-    EXPECT_LE(pair.second.trace_index - pair.first.trace_index, config.models.pair_window);
+  for (const TupleVulnerability& pair : result.pair_vulnerabilities) {
+    ASSERT_EQ(pair.faults.size(), 2u);
+    EXPECT_LT(pair.faults[0].trace_index, pair.faults[1].trace_index);
+    EXPECT_LE(pair.faults[1].trace_index - pair.faults[0].trace_index,
+              config.models.pair_window);
   }
   // An order-1 config leaves the pair section empty.
   EXPECT_EQ(order1.total_pairs, 0u);

@@ -326,8 +326,8 @@ TEST(Reinforce, ShapesWithNoLocalReinforcementReturnNone) {
 }
 
 TEST(Reinforce, PairPatchesMapBothSitesOfEveryPair) {
-  // apply_pair_patches reinforces the first fault's site and the site the
-  // second fault actually struck, once per distinct address.
+  // apply_tuple_patches at order 2 reinforces the first fault's site and
+  // the site the second fault actually struck, once per distinct address.
   const Guest& guest = guests::pincheck();
   bir::Module module = guests::build_module(guest);
   const elf::Image image = bir::assemble(module);
@@ -348,11 +348,12 @@ TEST(Reinforce, PairPatchesMapBothSitesOfEveryPair) {
   ASSERT_NE(ret_address, 0u);
   ASSERT_NE(jcc_address, 0u);
 
-  fault::PairVulnerability pair;
-  pair.first_address = ret_address;
-  pair.second_address = 0xdead;  // golden-trace address: deliberately stale
-  pair.second_hit_address = jcc_address;
-  const patch::PatchStats stats = patch::apply_pair_patches(module, {pair}, 8);
+  fault::TupleVulnerability pair;
+  pair.faults.resize(2);
+  // The second golden-trace address is deliberately stale.
+  pair.addresses = {ret_address, 0xdead};
+  pair.hit_addresses = {ret_address, jcc_address};
+  const patch::PatchStats stats = patch::apply_tuple_patches(module, {pair}, 8, 2);
   EXPECT_EQ(stats.total_applied(), 2u);
   EXPECT_EQ(stats.applied.at(PatternKind::kRetDup), 1u);
   EXPECT_EQ(stats.applied.at(PatternKind::kJcc), 1u);

@@ -358,14 +358,14 @@ TEST(Engine, FixedIntervalPartialFinalSegmentMatchesDefaultPairSweep) {
 
   EngineConfig reference_config;
   const Engine reference(image, guest.good_input, guest.bad_input, reference_config);
-  const PairCampaignResult expected = reference.run_pairs(models);
+  const TupleCampaignResult expected = reference.run_tuples(models);
 
   EngineConfig fixed;
   fixed.policy.fixed_interval = 7;
   const Engine engine(image, guest.good_input, guest.bad_input, fixed);
   ASSERT_NE(engine.references().bad_trace.size() % 7, 0u)
       << "trace length became a multiple of the interval; pick another";
-  const PairCampaignResult result = engine.run_pairs(models);
+  const TupleCampaignResult result = engine.run_tuples(models);
   EXPECT_EQ(result.outcome_counts, expected.outcome_counts);
   EXPECT_EQ(result.vulnerabilities, expected.vulnerabilities);
 }
@@ -431,9 +431,11 @@ TEST(PairEnumeration, RespectsWindowAndCanonicalOrder) {
 }
 
 TEST(Engine, PairSweepMatchesBruteForceDoubleReplay) {
-  // Ground truth: a fresh machine replayed from entry for every pair — run
-  // with the first fault armed up to the second injection point, then
-  // resume with the second fault armed. No snapshots, no pruning.
+  // Ground truth: a fresh machine replayed from entry for every single fault
+  // and every pair — for a pair, run with the first fault armed up to the
+  // second injection point, then resume with the second fault armed. No
+  // snapshots, no forks, no pruning. Skip + bit flip puts dozens of faults
+  // on one step, so the sweep restores its forks at every step.
   const Guest& guest = guests::toymov();
   const elf::Image image = guests::build_image(guest);
   const fault::Oracle oracle =
@@ -441,9 +443,25 @@ TEST(Engine, PairSweepMatchesBruteForceDoubleReplay) {
 
   const FaultModels models = pair_models(3);
   const std::uint64_t fuel = oracle.bad_reference.steps * 8 + 4096;
+
+  std::map<Outcome, std::uint64_t> expected_singles;
+  std::vector<Vulnerability> expected_single_vulnerabilities;
+  for (const PlannedFault& fault : enumerate_faults(models, oracle.bad_trace)) {
+    emu::Machine machine(image, guest.bad_input);
+    emu::RunConfig config;
+    config.fault = fault.spec;
+    config.fuel = fuel;
+    const Outcome outcome = oracle.classify(machine.run(config), patch::kDetectedExit);
+    ++expected_singles[outcome];
+    if (outcome == Outcome::kSuccess) {
+      expected_single_vulnerabilities.push_back(Vulnerability{fault.spec, fault.address});
+    }
+  }
+
+  const std::vector<PlannedPair> plan = enumerate_fault_pairs(models, oracle.bad_trace);
   std::map<Outcome, std::uint64_t> expected_counts;
-  std::vector<PairVulnerability> expected_vulnerabilities;
-  for (const PlannedPair& pair : enumerate_fault_pairs(models, oracle.bad_trace)) {
+  std::vector<TupleVulnerability> expected_vulnerabilities;
+  for (const PlannedPair& pair : plan) {
     emu::Machine machine(image, guest.bad_input);
     emu::RunConfig leg1;
     leg1.fault = pair.first;
@@ -459,22 +477,49 @@ TEST(Engine, PairSweepMatchesBruteForceDoubleReplay) {
       leg2.fuel = fuel;
       run = machine.run(leg2);
     }
-    const Outcome outcome = oracle.classify(run, 42);
+    const Outcome outcome = oracle.classify(run, patch::kDetectedExit);
     ++expected_counts[outcome];
     if (outcome == Outcome::kSuccess) {
-      expected_vulnerabilities.push_back(PairVulnerability{
-          pair.first, pair.second, pair.first_address, pair.second_address,
-          second_hit});
+      expected_vulnerabilities.push_back(
+          TupleVulnerability{{pair.first, pair.second},
+                             {pair.first_address, pair.second_address},
+                             {pair.first_address, second_hit}});
     }
   }
+  // Attribution: both sites of every pair neither of whose faults succeeds
+  // alone, the second one where it actually struck.
+  std::vector<std::uint64_t> expected_sites;
+  for (const TupleVulnerability& pair : expected_vulnerabilities) {
+    const auto alone = [&](const emu::FaultSpec& spec) {
+      return std::any_of(expected_single_vulnerabilities.begin(),
+                         expected_single_vulnerabilities.end(),
+                         [&](const Vulnerability& v) { return v.spec == spec; });
+    };
+    if (alone(pair.faults[0]) || alone(pair.faults[1])) continue;
+    expected_sites.insert(expected_sites.end(), pair.hit_addresses.begin(),
+                          pair.hit_addresses.end());
+  }
+  std::sort(expected_sites.begin(), expected_sites.end());
+  expected_sites.erase(std::unique(expected_sites.begin(), expected_sites.end()),
+                       expected_sites.end());
 
   const Engine engine(image, guest.good_input, guest.bad_input, EngineConfig{});
-  const PairCampaignResult result = engine.run_pairs(models);
+  const TupleCampaignResult result = engine.run_tuples(models);
+  EXPECT_EQ(result.order, 2u);
   EXPECT_EQ(result.outcome_counts, expected_counts);
   EXPECT_EQ(result.vulnerabilities, expected_vulnerabilities);
-  EXPECT_EQ(result.total_pairs,
-            enumerate_fault_pairs(models, oracle.bad_trace).size());
+  EXPECT_EQ(result.total_tuples, plan.size());
+  EXPECT_EQ(result.enumerated_tuples, plan.size());
+  EXPECT_FALSE(result.sampled);
+  ASSERT_EQ(result.levels.size(), 1u);
+  EXPECT_EQ(result.levels[0].order, 2u);
+  EXPECT_EQ(result.levels[0].successful, expected_vulnerabilities.size());
+  EXPECT_EQ(result.order1.outcome_counts, expected_singles);
+  EXPECT_EQ(result.order1.vulnerabilities, expected_single_vulnerabilities);
+  EXPECT_EQ(result.patch_sites(), expected_sites);
   EXPECT_GT(result.count(Outcome::kSuccess), 0u);
+  EXPECT_FALSE(expected_sites.empty())
+      << "no strictly second-order pair; attribution untested";
 }
 
 TEST(Engine, PairSweepEmbedsTheOrderOneSweep) {
@@ -486,7 +531,7 @@ TEST(Engine, PairSweepEmbedsTheOrderOneSweep) {
   FaultModels single = models;
   single.order = 1;
   const CampaignResult order1 = engine.run(single);
-  const PairCampaignResult order2 = engine.run_pairs(models);
+  const TupleCampaignResult order2 = engine.run_tuples(models);
   EXPECT_EQ(order2.order1.outcome_counts, order1.outcome_counts);
   EXPECT_EQ(order2.order1.vulnerabilities, order1.vulnerabilities);
   EXPECT_EQ(order2.order1.total_faults, order1.total_faults);
@@ -495,13 +540,13 @@ TEST(Engine, PairSweepEmbedsTheOrderOneSweep) {
   // Each entry point rejects models of the other order — an order-2
   // request can never silently degrade into an order-1 sweep.
   EXPECT_THROW(engine.run(models), support::Error);
-  EXPECT_THROW(engine.run_pairs(single), support::Error);
+  EXPECT_THROW(engine.run_tuples(single), support::Error);
 }
 
 TEST(Engine, PairOutcomeReuseIsExact) {
   // Pruning soundness: outcome reuse + convergence pruning vs the fully
   // exhaustive order-2 sweep must agree bit for bit — same pair
-  // vulnerability list, same per-pair outcome counts.
+  // vulnerability list, same per-pair outcome counts, same patch sites.
   const Guest& guest = guests::pincheck();
   const elf::Image image = guests::build_image(guest);
 
@@ -515,17 +560,18 @@ TEST(Engine, PairOutcomeReuseIsExact) {
 
   const Engine pruned(image, guest.good_input, guest.bad_input, pruned_config);
   const Engine exhaustive(image, guest.good_input, guest.bad_input, exhaustive_config);
-  const PairCampaignResult a = pruned.run_pairs(models);
-  const PairCampaignResult b = exhaustive.run_pairs(models);
+  const TupleCampaignResult a = pruned.run_tuples(models);
+  const TupleCampaignResult b = exhaustive.run_tuples(models);
 
   EXPECT_EQ(a.outcome_counts, b.outcome_counts);
   EXPECT_EQ(a.vulnerabilities, b.vulnerabilities);
+  EXPECT_EQ(a.patch_sites(), b.patch_sites());
   EXPECT_EQ(a.order1.outcome_counts, b.order1.outcome_counts);
   EXPECT_EQ(a.order1.vulnerabilities, b.order1.vulnerabilities);
-  EXPECT_GT(a.reused_pairs(), 0u) << "outcome reuse never fired on a real guest";
-  EXPECT_LT(a.simulated_pairs, a.total_pairs);
-  EXPECT_EQ(b.reused_pairs(), 0u);
-  EXPECT_EQ(b.simulated_pairs, b.total_pairs);
+  EXPECT_GT(a.reused_tuples(), 0u) << "outcome reuse never fired on a real guest";
+  EXPECT_LT(a.simulated_tuples(), a.total_tuples);
+  EXPECT_EQ(b.reused_tuples(), 0u);
+  EXPECT_EQ(b.simulated_tuples(), b.total_tuples);
 }
 
 TEST(Scheduler, ThreadCountDoesNotChangePairResults) {
@@ -540,13 +586,14 @@ TEST(Scheduler, ThreadCountDoesNotChangePairResults) {
   const Engine eight(image, guest.good_input, guest.bad_input, parallel);
 
   const FaultModels models = pair_models(4);
-  const PairCampaignResult a = one.run_pairs(models);
-  const PairCampaignResult b = eight.run_pairs(models);
+  const TupleCampaignResult a = one.run_tuples(models);
+  const TupleCampaignResult b = eight.run_tuples(models);
   EXPECT_EQ(a.vulnerabilities, b.vulnerabilities);
   EXPECT_EQ(a.outcome_counts, b.outcome_counts);
+  EXPECT_EQ(a.patch_sites(), b.patch_sites());
   EXPECT_EQ(a.order1.vulnerabilities, b.order1.vulnerabilities);
-  EXPECT_EQ(a.reused_pairs(), b.reused_pairs());
-  EXPECT_EQ(a.total_pairs, b.total_pairs);
+  EXPECT_EQ(a.reused_tuples(), b.reused_tuples());
+  EXPECT_EQ(a.total_tuples, b.total_tuples);
   EXPECT_EQ(b.threads_used, 8u);
 }
 
@@ -565,7 +612,7 @@ TEST(Engine, HardenedPincheckFallsOnlyToDoubleFaults) {
   FaultModels models = pair_models(8);
   models.bit_flip = false;
 
-  std::optional<PairCampaignResult> reference;
+  std::optional<TupleCampaignResult> reference;
   for (const unsigned threads : {1u, 8u}) {
     for (const bool exhaustive : {false, true}) {
       EngineConfig config;
@@ -573,7 +620,7 @@ TEST(Engine, HardenedPincheckFallsOnlyToDoubleFaults) {
       config.convergence_pruning = !exhaustive;
       config.pair_outcome_reuse = !exhaustive;
       const Engine engine(patched.hardened, guest.good_input, guest.bad_input, config);
-      const PairCampaignResult result = engine.run_pairs(models);
+      const TupleCampaignResult result = engine.run_tuples(models);
       if (!reference) {
         reference = result;
         continue;
@@ -595,11 +642,11 @@ TEST(Engine, HardenedPincheckFallsOnlyToDoubleFaults) {
 
   // Pair → site attribution: on this binary some residual pairs start by
   // skipping a branch, so the second fault lands off the golden trace —
-  // second_hit_address must track the diverged control flow (it feeds the
+  // its hit address must track the diverged control flow (it feeds the
   // order-2 patcher), and patch_sites() merges both ends of every pair.
   bool any_diverged = false;
-  for (const PairVulnerability& pair : reference->vulnerabilities) {
-    if (pair.second_hit_address != pair.second_address) any_diverged = true;
+  for (const TupleVulnerability& pair : reference->vulnerabilities) {
+    if (pair.hit_addresses[1] != pair.addresses[1]) any_diverged = true;
   }
   EXPECT_TRUE(any_diverged)
       << "no pair diverged from the golden trace; hit attribution untested";
@@ -607,10 +654,9 @@ TEST(Engine, HardenedPincheckFallsOnlyToDoubleFaults) {
   ASSERT_FALSE(sites.empty());
   EXPECT_TRUE(std::is_sorted(sites.begin(), sites.end()));
   EXPECT_EQ(std::adjacent_find(sites.begin(), sites.end()), sites.end());
-  for (const PairVulnerability& pair : reference->strictly_higher_order()) {
-    EXPECT_TRUE(std::binary_search(sites.begin(), sites.end(), pair.first_address));
-    EXPECT_TRUE(
-        std::binary_search(sites.begin(), sites.end(), pair.second_hit_address));
+  for (const TupleVulnerability& pair : reference->strictly_higher_order()) {
+    EXPECT_TRUE(std::binary_search(sites.begin(), sites.end(), pair.addresses[0]));
+    EXPECT_TRUE(std::binary_search(sites.begin(), sites.end(), pair.hit_addresses[1]));
   }
 }
 
@@ -618,22 +664,23 @@ TEST(Engine, PairResultExportsJsonAndDerivedViews) {
   const Guest& guest = guests::toymov();
   const elf::Image image = guests::build_image(guest);
   const Engine engine(image, guest.good_input, guest.bad_input, EngineConfig{});
-  const PairCampaignResult result = engine.run_pairs(pair_models(4));
+  const TupleCampaignResult result = engine.run_tuples(pair_models(4));
 
   const std::string json = result.to_json();
-  EXPECT_NE(json.find("\"total_pairs\""), std::string::npos);
-  EXPECT_NE(json.find("\"vulnerable_pairs\""), std::string::npos);
+  EXPECT_NE(json.find("\"order\": 2,"), std::string::npos);
+  EXPECT_NE(json.find("\"total_tuples\""), std::string::npos);
+  EXPECT_NE(json.find("\"vulnerable_tuples\""), std::string::npos);
   EXPECT_NE(json.find("\"order1_total_faults\""), std::string::npos);
 
-  const auto addresses = result.vulnerable_address_pairs();
-  EXPECT_LE(addresses.size(), result.vulnerabilities.size());
-  if (!result.vulnerabilities.empty()) EXPECT_FALSE(addresses.empty());
+  const auto merged = result.merged_vulnerable_tuples();
+  EXPECT_LE(merged.size(), result.vulnerabilities.size());
+  EXPECT_EQ(merged.empty(), result.vulnerabilities.empty());
   // Every strictly-second-order pair is a successful pair whose halves both
   // fail alone.
-  for (const PairVulnerability& pair : result.strictly_higher_order()) {
+  for (const TupleVulnerability& pair : result.strictly_higher_order()) {
     for (const Vulnerability& single : result.order1.vulnerabilities) {
-      EXPECT_FALSE(single.spec == pair.first);
-      EXPECT_FALSE(single.spec == pair.second);
+      EXPECT_FALSE(single.spec == pair.faults[0]);
+      EXPECT_FALSE(single.spec == pair.faults[1]);
     }
   }
 }

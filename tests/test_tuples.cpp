@@ -1,8 +1,9 @@
-// sim:: order-k tuple sweeps — enumeration counts, agreement with the
-// order-2 pair sweep, bit-identical classification against a brute-force
-// three-leg replay oracle, exactness of the recursive outcome-reuse
-// pruning at every thread count, and seeded reproducibility of the
-// budgeted (sampled) top level.
+// sim:: order-k tuple sweeps — enumeration counts, bit-identical
+// classification against brute-force three-leg replay oracles (skip-only,
+// and flag flips with several faults per step), exactness of the recursive
+// outcome-reuse pruning at every thread count, seeded reproducibility of
+// the budgeted (sampled) top level, and an exhaustive order-2 level under
+// any budget.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -13,6 +14,7 @@
 #include "fault/campaign.h"
 #include "guests/guests.h"
 #include "guests/synth.h"
+#include "patch/pipeline.h"
 #include "sim/engine.h"
 #include "support/error.h"
 #include "synth_corpus.h"
@@ -107,90 +109,53 @@ TEST(TupleEnumeration, CountMatchesPairPlanAndBruteForceTripleCount) {
   }
 }
 
-// ---- the k = 2 degenerate case ----------------------------------------------
-
-TEST(Engine, TupleSweepAtOrderTwoMatchesThePairSweep) {
-  // run_tuples(order=2) and run_pairs are two implementations of the same
-  // sweep; every classification-bearing field must agree exactly.
-  const Guest& guest = guests::toymov();
-  const elf::Image image = guests::build_image(guest);
-  const Engine engine(image, guest.good_input, guest.bad_input, EngineConfig{});
-
-  const FaultModels models = tuple_models(2, 4);
-  const PairCampaignResult pairs = engine.run_pairs(models);
-  const TupleCampaignResult tuples = engine.run_tuples(models);
-
-  EXPECT_EQ(tuples.order, 2u);
-  EXPECT_EQ(tuples.total_tuples, pairs.total_pairs);
-  EXPECT_EQ(tuples.enumerated_tuples, pairs.total_pairs);
-  EXPECT_EQ(tuples.outcome_counts, pairs.outcome_counts);
-  EXPECT_FALSE(tuples.sampled);
-  ASSERT_EQ(tuples.levels.size(), 1u);
-  EXPECT_EQ(tuples.levels[0].order, 2u);
-  EXPECT_EQ(tuples.levels[0].successful, pairs.count(Outcome::kSuccess));
-  EXPECT_EQ(tuples.order1.vulnerabilities, pairs.order1.vulnerabilities);
-  EXPECT_EQ(tuples.order1.outcome_counts, pairs.order1.outcome_counts);
-
-  ASSERT_EQ(tuples.vulnerabilities.size(), pairs.vulnerabilities.size());
-  for (std::size_t i = 0; i < tuples.vulnerabilities.size(); ++i) {
-    const TupleVulnerability& t = tuples.vulnerabilities[i];
-    const PairVulnerability& p = pairs.vulnerabilities[i];
-    ASSERT_EQ(t.faults.size(), 2u);
-    EXPECT_EQ(t.faults[0], p.first);
-    EXPECT_EQ(t.faults[1], p.second);
-    EXPECT_EQ(t.addresses, (std::vector<std::uint64_t>{p.first_address, p.second_address}));
-    EXPECT_EQ(t.hit_addresses,
-              (std::vector<std::uint64_t>{p.first_address, p.second_hit_address}));
-  }
-  EXPECT_EQ(tuples.patch_sites(), pairs.patch_sites());
-}
-
 // ---- ground truth -----------------------------------------------------------
 
-TEST(Engine, TupleSweepMatchesBruteForceTripleReplay) {
-  // Ground truth for order 3: a fresh machine replayed from entry for every
-  // triple — first fault armed up to the second injection point, second up
-  // to the third, then run to completion. No snapshots, no reuse. The
-  // sweep's triple classification and hit-address attribution must match
-  // this replay bit for bit.
-  const Guest& guest = guests::toymov();
+/// Ground truth for order 3: a fresh machine replayed from entry for every
+/// triple of `models`' plan — first fault armed up to the second injection
+/// point, second up to the third, then run to completion. No snapshots, no
+/// forks, no reuse. The sweep's triple classification and hit-address
+/// attribution must match this replay bit for bit.
+void expect_triples_match_brute_force(const Guest& guest, const FaultModels& models) {
   const elf::Image image = guests::build_image(guest);
   const fault::Oracle oracle =
       fault::make_oracle(image, guest.good_input, guest.bad_input);
-
-  FaultModels models = tuple_models(3, 3);
-  models.bit_flip = false;  // skip-only keeps the replay oracle tractable
-
   const std::vector<PlannedFault> plan = enumerate_faults(models, oracle.bad_trace);
-  // Skip-only: exactly one fault per trace index, in ascending order.
-  ASSERT_EQ(plan.size(), oracle.bad_trace.size());
 
   const std::uint64_t fuel = oracle.bad_reference.steps * 8 + 4096;
+  const auto within_window = [&](std::size_t a, std::size_t b) {
+    const std::uint64_t ta = plan[a].spec.trace_index;
+    const std::uint64_t tb = plan[b].spec.trace_index;
+    return ta < tb && tb - ta <= models.pair_window;
+  };
   std::map<Outcome, std::uint64_t> expected_counts;
   std::vector<TupleVulnerability> expected_vulnerabilities;
-  const std::uint64_t window = models.pair_window;
-  for (std::size_t t1 = 0; t1 < plan.size(); ++t1) {
-    for (std::size_t t2 = t1 + 1; t2 < plan.size() && t2 - t1 <= window; ++t2) {
-      for (std::size_t t3 = t2 + 1; t3 < plan.size() && t3 - t2 <= window; ++t3) {
+  std::uint64_t triples = 0;
+  for (std::size_t f1 = 0; f1 < plan.size(); ++f1) {
+    for (std::size_t f2 = f1 + 1; f2 < plan.size(); ++f2) {
+      if (!within_window(f1, f2)) continue;
+      for (std::size_t f3 = f2 + 1; f3 < plan.size(); ++f3) {
+        if (!within_window(f2, f3)) continue;
+        ++triples;
         emu::Machine machine(image, guest.bad_input);
         emu::RunConfig leg1;
-        leg1.fault = plan[t1].spec;
-        leg1.fuel = t2;  // fuel is an absolute step budget: pause before t2
+        leg1.fault = plan[f1].spec;
+        leg1.fuel = plan[f2].spec.trace_index;  // absolute budget: pause before t2
         emu::RunResult run = machine.run(leg1);
         // Where faults 2 and 3 actually land: the paused machine's rip, or
         // the golden address when the run already terminated.
-        std::uint64_t hit2 = plan[t2].address;
-        std::uint64_t hit3 = plan[t3].address;
+        std::uint64_t hit2 = plan[f2].address;
+        std::uint64_t hit3 = plan[f3].address;
         if (run.reason == emu::StopReason::kFuelExhausted) {
           hit2 = machine.cpu().rip;
           emu::RunConfig leg2;
-          leg2.fault = plan[t2].spec;
-          leg2.fuel = t3;
+          leg2.fault = plan[f2].spec;
+          leg2.fuel = plan[f3].spec.trace_index;
           run = machine.run(leg2);
           if (run.reason == emu::StopReason::kFuelExhausted) {
             hit3 = machine.cpu().rip;
             emu::RunConfig leg3;
-            leg3.fault = plan[t3].spec;
+            leg3.fault = plan[f3].spec;
             leg3.fuel = fuel;
             run = machine.run(leg3);
           }
@@ -199,9 +164,9 @@ TEST(Engine, TupleSweepMatchesBruteForceTripleReplay) {
         ++expected_counts[outcome];
         if (outcome == Outcome::kSuccess) {
           expected_vulnerabilities.push_back(TupleVulnerability{
-              {plan[t1].spec, plan[t2].spec, plan[t3].spec},
-              {plan[t1].address, plan[t2].address, plan[t3].address},
-              {plan[t1].address, hit2, hit3}});
+              {plan[f1].spec, plan[f2].spec, plan[f3].spec},
+              {plan[f1].address, plan[f2].address, plan[f3].address},
+              {plan[f1].address, hit2, hit3}});
         }
       }
     }
@@ -211,14 +176,28 @@ TEST(Engine, TupleSweepMatchesBruteForceTripleReplay) {
   const TupleCampaignResult result = engine.run_tuples(models);
   EXPECT_EQ(result.outcome_counts, expected_counts);
   EXPECT_EQ(result.vulnerabilities, expected_vulnerabilities);
+  EXPECT_EQ(result.total_tuples, triples);
   EXPECT_EQ(result.total_tuples, count_fault_tuples(models, oracle.bad_trace));
   EXPECT_GT(result.count(Outcome::kSuccess), 0u);
+}
+
+TEST(Engine, TupleSweepMatchesBruteForceTripleReplay) {
+  FaultModels models = tuple_models(3, 3);
+  models.bit_flip = false;  // skip-only: one fault per step, no fork captured
+  expect_triples_match_brute_force(guests::toymov(), models);
+}
+
+TEST(Engine, TupleSweepMatchesBruteForceTripleReplayWithForks) {
+  // Six flag flips per step: consecutive triples share their prefix and
+  // last step, so the sweep captures forks and starts sets from them —
+  // including runs from a fork to a later last step.
+  expect_triples_match_brute_force(guests::toymov(), single_model("flag_flip", 3, 2));
 }
 
 // ---- exactness of the recursive pruning (the satellite-1 property) ----------
 
 /// One case of the pruned-vs-exhaustive / 1-vs-8-threads property. Runs
-/// the order-3 sweep three ways — pruned at 1 thread, pruned at 8 threads,
+/// the sweep of `models` three ways — pruned at 1 thread, pruned at 8 threads,
 /// exhaustive (outcome reuse off) at 1 thread — and requires:
 ///   * the 1-thread and 8-thread pruned sweeps byte-agree on the whole
 ///     JSON document once `threads_used` is normalised;
@@ -228,7 +207,7 @@ TEST(Engine, TupleSweepMatchesBruteForceTripleReplay) {
 /// caller can assert the property is not vacuous across its case set (a
 /// single case may legitimately see zero reuse — e.g. flag flips whose
 /// first fault never reconverges before the second strikes).
-std::uint64_t expect_order3_exactness(const elf::Image& image, const Guest& guest,
+std::uint64_t expect_sweep_exactness(const elf::Image& image, const Guest& guest,
                                       const FaultModels& models) {
   EngineConfig one;
   one.threads = 1;
@@ -257,7 +236,7 @@ std::uint64_t expect_order3_exactness(const elf::Image& image, const Guest& gues
   return reused;
 }
 
-TEST(Engine, Order3PruningIsExactUnderEveryFaultModel) {
+TEST(Engine, PruningIsExactUnderEveryFaultModelAtOrdersTwoAndThree) {
   // The per-model axis runs on the smallest builtin guest: the exhaustive
   // leg simulates every level-2 pair and every sampled triple, and the
   // bit/register-flip fan-outs make that quadratic in per-index faults.
@@ -266,12 +245,14 @@ TEST(Engine, Order3PruningIsExactUnderEveryFaultModel) {
   std::uint64_t reused = 0;
   for (const std::string_view name : fault_model_names()) {
     SCOPED_TRACE(std::string(name));
+    // Order 2: the whole pair level, compared pair by pair.
+    reused += expect_sweep_exactness(image, guest, single_model(name, 2, 2));
     FaultModels models = single_model(name, 3, 2);
     // Big per-index fan-outs (bit/register flips) explode the top level; a
     // budget switches it to seeded sampling, which the exactness contract
     // covers too (identical sampled set in every mode).
     models.max_tuples = 1000;
-    reused += expect_order3_exactness(image, guest, models);
+    reused += expect_sweep_exactness(image, guest, models);
   }
   // The pruning must actually fire somewhere, or the property is vacuous.
   EXPECT_GT(reused, 0u);
@@ -285,7 +266,7 @@ TEST(Engine, Order3PruningIsExactOnEveryBuiltinGuest) {
     FaultModels models = tuple_models(3, 2);
     models.bit_flip = false;  // the paper's skip model
     models.max_tuples = 1000;
-    reused += expect_order3_exactness(image, *guest, models);
+    reused += expect_sweep_exactness(image, *guest, models);
   }
   EXPECT_GT(reused, 0u);
 }
@@ -299,7 +280,7 @@ TEST(Engine, Order3PruningIsExactOnTheFrozenSynthCorpus) {
     FaultModels models = tuple_models(3, 2);
     models.bit_flip = false;  // the paper's skip model
     models.max_tuples = 1000;
-    reused += expect_order3_exactness(image, guest, models);
+    reused += expect_sweep_exactness(image, guest, models);
   }
   EXPECT_GT(reused, 0u);
 }
@@ -379,27 +360,98 @@ TEST(Engine, TupleSweepRejectsWrongOrdersAndOverBudgetLevels) {
   // request can never silently degrade into a lower-order sweep.
   EXPECT_THROW(engine.run_tuples(tuple_models(1, 4)), support::Error);
   EXPECT_THROW(engine.run(tuple_models(3, 4)), support::Error);
-  EXPECT_THROW(engine.run_pairs(tuple_models(3, 4)), support::Error);
 
-  // An unbudgeted top level over the planning cap must refuse, not OOM.
-  FaultModels wide = tuple_models(3, 8);  // bit flips: tens of millions of triples
+  // The one plan-size cap: 2^27 sets per level, the largest pair plan the
+  // order-2 sweep has always accepted.
+  EXPECT_EQ(EngineConfig{}.max_planned_tuples, 1ULL << 27);
+
+  // An unbudgeted level over the planning cap must refuse, not OOM — the
+  // top level of an order-3 sweep (pointing at the budget that would
+  // sample it) and an order-2 sweep alike. Skip-only toymov: the pair level
+  // fits under a 200-set cap, the triple level does not.
+  FaultModels skip3 = tuple_models(3, 8);
+  skip3.bit_flip = false;
+  FaultModels skip2 = skip3;
+  skip2.order = 2;
+  const auto& trace = engine.references().bad_trace;
+  ASSERT_LE(count_fault_tuples(skip2, trace), 200u);
+  ASSERT_GT(count_fault_tuples(skip3, trace), 200u);
+  EngineConfig capped_config;
+  capped_config.max_planned_tuples = 200;
+  const Engine capped(image, guest.good_input, guest.bad_input, capped_config);
   try {
-    engine.run_tuples(wide);
+    capped.run_tuples(skip3);
     FAIL() << "over-budget top level did not throw";
   } catch (const support::Error& error) {
     EXPECT_NE(std::string(error.what()).find("max_planned_tuples"), std::string::npos)
         << error.what();
+    EXPECT_NE(std::string(error.what()).find("FaultModels::max_tuples"), std::string::npos)
+        << error.what();
+  }
+  capped_config.max_planned_tuples = count_fault_tuples(skip2, trace) - 1;
+  const Engine pair_capped(image, guest.good_input, guest.bad_input, capped_config);
+  try {
+    pair_capped.run_tuples(skip2);
+    FAIL() << "over-budget pair level did not throw";
+  } catch (const support::Error& error) {
+    EXPECT_NE(std::string(error.what()).find("max_planned_tuples"), std::string::npos)
+        << error.what();
+    EXPECT_EQ(std::string(error.what()).find("FaultModels::max_tuples"), std::string::npos)
+        << "order-2 sweeps cannot sample; the error must not suggest it";
   }
 
   // Only the top level may sample: a budget cannot rescue an intermediate
   // level that exceeds the cap.
   EngineConfig tiny;
   tiny.max_planned_tuples = 4;
-  const Engine capped(image, guest.good_input, guest.bad_input, tiny);
+  const Engine tiny_capped(image, guest.good_input, guest.bad_input, tiny);
   FaultModels budgeted = tuple_models(3, 2);
   budgeted.bit_flip = false;
   budgeted.max_tuples = 2;
-  EXPECT_THROW(capped.run_tuples(budgeted), support::Error);
+  EXPECT_THROW(tiny_capped.run_tuples(budgeted), support::Error);
+}
+
+TEST(Engine, OrderTwoSweepIgnoresTheTupleBudget) {
+  // max_tuples budgets the top level of order >= 3 sweeps only: an order-2
+  // sweep — a fix-point ladder's order-2 rung included — stays exhaustive
+  // whatever budget the campaign carries.
+  const Guest& guest = guests::toymov();
+  const elf::Image image = guests::build_image(guest);
+  const Engine engine(image, guest.good_input, guest.bad_input, EngineConfig{});
+
+  FaultModels exhaustive = tuple_models(2, 4);
+  exhaustive.bit_flip = false;
+  FaultModels budgeted = exhaustive;
+  budgeted.max_tuples = 3;
+  const TupleCampaignResult a = engine.run_tuples(exhaustive);
+  const TupleCampaignResult b = engine.run_tuples(budgeted);
+  ASSERT_GT(a.enumerated_tuples, budgeted.max_tuples);
+  EXPECT_FALSE(b.sampled);
+  EXPECT_EQ(b.max_tuples, 0u) << "an order-2 sweep reported a budget it ignored";
+  EXPECT_EQ(b.total_tuples, b.enumerated_tuples);
+  EXPECT_EQ(normalized_json(a), normalized_json(b));
+
+  // The flattened campaign of an order-2 rung carries the whole pair space.
+  fault::CampaignConfig config;
+  config.models = budgeted;
+  const fault::CampaignResult campaign =
+      fault::run_campaign(image, guest.good_input, guest.bad_input, config);
+  EXPECT_EQ(campaign.total_pairs, a.enumerated_tuples);
+  EXPECT_EQ(campaign.pair_vulnerabilities, a.vulnerabilities);
+
+  // So does the order-2 rung of an order-3 ladder under the same budget.
+  patch::PipelineConfig pipeline;
+  pipeline.campaign.models = budgeted;
+  pipeline.campaign.models.order = 3;
+  const patch::PipelineResult ladder =
+      patch::faulter_patcher(image, guest.good_input, guest.bad_input, pipeline);
+  bool saw_rung = false;
+  for (const patch::IterationReport& it : ladder.iterations) {
+    if (it.order != 2) continue;
+    saw_rung = true;
+    EXPECT_GT(it.total_pairs, budgeted.max_tuples);
+  }
+  EXPECT_TRUE(saw_rung) << "the ladder never swept an order-2 rung";
 }
 
 TEST(Campaign, RejectsOrdersAboveTheCampaignCap) {
