@@ -23,7 +23,7 @@ void print_series(const guests::Guest& guest, bool bit_flips) {
 
   std::printf("%s (%s model): %zu iteration(s), fixpoint=%s\n", guest.name.c_str(),
               bit_flips ? "skip+flip" : "skip", result.iterations.size(),
-              result.fixpoint ? "yes" : "no");
+              result.fixpoint() ? "yes" : "no");
   harden::TextTable table;
   table.add_row({"iter", "successful faults", "vulnerable points", "patched",
                  "unpatchable", "code size (B)"});

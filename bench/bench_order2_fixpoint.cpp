@@ -145,18 +145,17 @@ int main(int argc, char** argv) {
         "pruned-vs-exhaustive=%s\n",
         guest->name.c_str(), result.iterations.size(),
         static_cast<unsigned long long>(residual),
-        result.order2_fixpoint ? "yes" : "NO", result.overhead_percent(),
+        result.clean_at(2) ? "yes" : "NO", result.overhead_percent(),
         result.order1_overhead_percent(), result.order2_overhead_delta_percent(),
         seconds, identical ? "identical" : "DIVERGED");
-    std::printf("%s\n",
-                harden::order2_fixpoint_section(guest->name, result).c_str());
-    if (!result.order2_fixpoint || residual != 0 || !identical) ok = false;
+    std::printf("%s\n", harden::fixpoint_report(guest->name, result, "text").c_str());
+    if (!result.clean_at(2) || residual != 0 || !identical) ok = false;
 
     if (!first_guest) json += ", ";
     first_guest = false;
     json += "{\n    \"guest\": \"" + guest->name + "\"";
     json += ",\n    \"order2_fixpoint\": " +
-            std::string(result.order2_fixpoint ? "true" : "false");
+            std::string(result.clean_at(2) ? "true" : "false");
     json += ",\n    \"residual_pairs\": " + std::to_string(residual);
     json += ",\n    \"seconds\": " + support::format_fixed(seconds, 3);
     json += ",\n    \"overhead_percent\": " +

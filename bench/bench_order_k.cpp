@@ -38,20 +38,6 @@ patch::PipelineConfig ladder_config(unsigned order) {
   return config;
 }
 
-/// The residue the order-k run is judged on: singles at k = 1, pairs at
-/// k = 2, top-level tuples at k >= 3.
-std::uint64_t residual_count(const patch::PipelineResult& result, unsigned order) {
-  if (order == 1) return result.final_campaign.vulnerabilities.size();
-  if (order == 2) return result.final_campaign.pair_vulnerabilities.size();
-  return result.final_campaign.tuple_vulnerabilities.size();
-}
-
-bool clean_at(const patch::PipelineResult& result, unsigned order) {
-  if (order == 1) return result.fixpoint;
-  if (order == 2) return result.order2_fixpoint;
-  return result.orderk_fixpoint;
-}
-
 /// One timed order-3 sweep over `image` (skip model, window 8): fills
 /// tuples/sec across every recursion level and the share of tuples the
 /// recursive outcome reuse classified without simulation.
@@ -127,8 +113,8 @@ int main(int argc, char** argv) {
           input, guest->good_input, guest->bad_input, ladder_config(order));
       const double seconds = phase.stop();
 
-      const std::uint64_t residual = residual_count(result, order);
-      const bool clean = clean_at(result, order);
+      const std::uint64_t residual = result.residual_count(order);
+      const bool clean = result.clean_at(order);
       std::printf(
           "%-10s k=%u clean=%-3s residual=%llu overhead=%5.1f%% "
           "iterations=%zu %6.2fs\n",

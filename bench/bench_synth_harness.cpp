@@ -84,7 +84,7 @@ int main(int argc, char** argv) {
         hybrid.hardened, guest.good_input, guest.bad_input, config);
     const emu::RunResult good = emu::run_image(patched.hardened, guest.good_input);
     const emu::RunResult bad = emu::run_image(patched.hardened, guest.bad_input);
-    const bool ok = patched.fixpoint && good.output == guest.good_output &&
+    const bool ok = patched.fixpoint() && good.output == guest.good_output &&
                     good.exit_code == guest.good_exit &&
                     bad.output == guest.bad_output &&
                     bad.exit_code == guest.bad_exit;

@@ -143,11 +143,11 @@ BatchRow process_guest(const BatchPlan& plan, const std::string& spec) {
     config.max_iterations = plan.max_iterations;
     const patch::PipelineResult result =
         patch::faulter_patcher(image, guest.good_input, guest.bad_input, config);
-    row.ok = plan.campaign.models.order >= 2 ? result.orderk_fixpoint : result.fixpoint;
-    // Residual fault sets at the requested order: pairs for order-2 runs,
-    // top-level tuples for order-3+ runs (whichever the final campaign ran).
+    row.ok = result.succeeded();
+    // Residual fault sets at the order the final campaign swept: pairs for
+    // order-2 sweeps, top-level tuples for order-3+ sweeps.
     const std::uint64_t residual_sets =
-        plan.campaign.models.order >= 3
+        result.final_campaign.order >= 3
             ? result.final_campaign.tuple_vulnerabilities.size()
             : result.final_campaign.pair_vulnerabilities.size();
     row.cells = {std::to_string(result.iterations.size()),

@@ -7,7 +7,6 @@
 #include "elf/image.h"
 #include "harden/report.h"
 #include "patch/pipeline.h"
-#include "support/strings.h"
 
 namespace r2r::cli {
 
@@ -19,9 +18,12 @@ ArgParser make_fixpoint_parser() {
       "patchable vulnerability remains. --order 2+ continues past the\n"
       "order-1 fix-point, climbing an order ladder that reinforces every\n"
       "residual fault pair's (then k-tuple's) sites until the sweep at the\n"
-      "requested order comes back clean. Exits 0 only at a genuine fix-point.");
+      "requested order comes back clean. When --max-iterations stops the loop,\n"
+      "the last patched binary is swept once more at the requested order; a\n"
+      "clean sweep there still counts as the fix-point. Exits 0 only at a\n"
+      "genuine fix-point.");
   add_campaign_flags(parser);
-  parser.add_flag({"--max-iterations", "N", "iteration cap across all phases", "12"});
+  parser.add_flag({"--max-iterations", "N", "iteration cap across all ladder rungs", "12"});
   parser.add_flag({"--elf", "FILE", "also write the hardened ELF to FILE", ""});
   add_guest_flags(parser);
   add_format_flags(parser);
@@ -33,7 +35,7 @@ int run_fixpoint(const ArgParser& args, std::ostream& out, std::ostream& err) {
     err << "r2r fixpoint: expected exactly one guest spec (try 'r2r fixpoint --help')\n";
     return 2;
   }
-  const Format format = format_from(args);
+  format_from(args);  // validated before the loop
   const guests::Guest guest = load_guest(args.positionals()[0], overrides_from(args));
   const elf::Image image = guests::build_image(guest);
 
@@ -43,14 +45,8 @@ int run_fixpoint(const ArgParser& args, std::ostream& out, std::ostream& err) {
   const patch::PipelineResult result =
       patch::faulter_patcher(image, guest.good_input, guest.bad_input, config);
 
-  std::string text;
-  switch (format) {
-    case Format::kText: text = harden::fixpoint_section(guest.name, result); break;
-    case Format::kJson: text = result.to_json(); break;
-    case Format::kMarkdown:
-      text = harden::fixpoint_markdown_section(guest.name, result);
-      break;
-  }
+  const std::string text =
+      harden::fixpoint_report(guest.name, result, args.value_or("--format", "text"));
   emit_output(args, out, text);
 
   if (const auto elf_path = args.value("--elf")) {
@@ -60,12 +56,7 @@ int run_fixpoint(const ArgParser& args, std::ostream& out, std::ostream& err) {
     out << "hardened ELF written to " << *elf_path << " (" << bytes.size() << " bytes)\n";
   }
 
-  // Order 1: the paper's fix-point (no *patchable* vulnerability remains —
-  // unpatchable residue is reported, not a failure). Order 2+: zero residual
-  // fault sets at every level up to the requested order.
-  const bool clean =
-      config.campaign.models.order >= 2 ? result.orderk_fixpoint : result.fixpoint;
-  return clean ? 0 : 1;
+  return result.succeeded() ? 0 : 1;
 }
 
 }  // namespace r2r::cli

@@ -20,6 +20,25 @@ std::uint64_t CampaignResult::strictly_second_order_count() const {
   return strictly_order_k(vulnerabilities, pair_vulnerabilities).size();
 }
 
+std::uint64_t CampaignResult::successful_at(unsigned level) const {
+  if (level == 1) return vulnerabilities.size();
+  if (level > order) return 0;
+  if (level == order) {
+    return order == 2 ? pair_vulnerabilities.size() : tuple_vulnerabilities.size();
+  }
+  for (const TupleLevelSummary& summary : tuple_levels) {
+    if (summary.order == level) return summary.successful;
+  }
+  return 0;
+}
+
+unsigned CampaignResult::lowest_successful_order() const {
+  for (unsigned level = 1; level <= order; ++level) {
+    if (successful_at(level) != 0) return level;
+  }
+  return 0;
+}
+
 std::uint64_t CampaignResult::successful_lower_tuples() const {
   std::uint64_t successful = 0;
   for (std::size_t i = 0; i + 1 < tuple_levels.size(); ++i) {
@@ -75,8 +94,8 @@ std::string CampaignResult::to_json() const {
     }
     json += "]";
   }
-  if (tuple_order != 0) {
-    json += ",\n  \"tuple_order\": " + std::to_string(tuple_order) + ",\n";
+  if (order >= 3) {
+    json += ",\n  \"tuple_order\": " + std::to_string(order) + ",\n";
     json += "  \"total_tuples\": " + std::to_string(total_tuples) + ",\n";
     json += "  \"enumerated_tuples\": " + std::to_string(enumerated_tuples) + ",\n";
     json += "  \"successful_tuples\": " + std::to_string(tuple_count(Outcome::kSuccess)) +
@@ -148,6 +167,7 @@ CampaignResult run_campaign(const elf::Image& image, const std::string& good_inp
   // The models go to the engine verbatim — CampaignConfig embeds the
   // engine's own struct precisely so there is no per-field copy to drift.
   CampaignResult result;
+  result.order = config.models.order;
   if (config.models.order >= 2) {
     sim::TupleCampaignResult swept = engine.run_tuples(config.models);
     result.vulnerabilities = std::move(swept.order1.vulnerabilities);
@@ -161,7 +181,6 @@ CampaignResult run_campaign(const elf::Image& image, const std::string& good_inp
       result.reused_pairs = swept.reused_tuples();
       return result;
     }
-    result.tuple_order = swept.order;
     result.tuple_vulnerabilities = std::move(swept.vulnerabilities);
     result.tuple_outcome_counts = std::move(swept.outcome_counts);
     result.total_tuples = swept.total_tuples;

@@ -70,6 +70,9 @@ struct CampaignConfig {
 sim::EngineConfig engine_config(const CampaignConfig& config);
 
 struct CampaignResult {
+  /// The campaign order this result swept (CampaignConfig::models.order):
+  /// which of the extensions below are filled.
+  unsigned order = 1;
   std::vector<Vulnerability> vulnerabilities;
   std::map<Outcome, std::uint64_t> outcome_counts;
   std::uint64_t total_faults = 0;
@@ -86,7 +89,6 @@ struct CampaignResult {
   /// Order-k (>= 3) extension: filled only when models.order >= 3. The
   /// order-1 fields above are still populated; the pair fields stay empty —
   /// `tuple_levels` carries the per-level (order 2..k) residue instead.
-  unsigned tuple_order = 0;
   std::vector<TupleVulnerability> tuple_vulnerabilities;
   std::map<Outcome, std::uint64_t> tuple_outcome_counts;
   std::uint64_t total_tuples = 0;       ///< classified at the top level
@@ -107,6 +109,13 @@ struct CampaignResult {
     const auto it = tuple_outcome_counts.find(outcome);
     return it == tuple_outcome_counts.end() ? 0 : it->second;
   }
+  /// Successful fault sets of exactly `level` faults: singles at level 1,
+  /// the top level's pairs or tuples, an intermediate level's summary count;
+  /// 0 for a level above the swept order.
+  [[nodiscard]] std::uint64_t successful_at(unsigned level) const;
+  /// Lowest level 1..order with a successful fault set, or 0 when the
+  /// campaign is clean at every level it swept.
+  [[nodiscard]] unsigned lowest_successful_order() const;
   /// Successful tuples at the intermediate levels (orders 2..k-1) of an
   /// order-k campaign — lower-order residue the recursion surfaced anyway.
   [[nodiscard]] std::uint64_t successful_lower_tuples() const;

@@ -1,5 +1,9 @@
 #include "harden/report.h"
 
+#include <algorithm>
+#include <cctype>
+#include <utility>
+
 #include "elf/image.h"
 #include "fault/campaign.h"
 #include "patch/pipeline.h"
@@ -101,16 +105,12 @@ std::string tuple_level_summary_line(const sim::TupleCampaignResult& tuples) {
   return out;
 }
 
-/// The highest campaign order this pipeline run swept — what picks the
-/// fix-point rendering (order-1 table, order-2 table, or the order-k
-/// extras).
-unsigned max_iteration_order(const patch::PipelineResult& result) {
-  unsigned order = result.order1_code_size != 0 ? 2 : 1;
+/// The highest campaign order this pipeline run swept — the final
+/// campaign's, or a higher rung the ladder dropped back from.
+unsigned swept_order(const patch::PipelineResult& result) {
+  unsigned order = result.final_campaign.order;
   for (const patch::IterationReport& it : result.iterations) {
     order = std::max(order, it.order);
-  }
-  for (const patch::OrderMilestone& milestone : result.order_milestones) {
-    order = std::max(order, milestone.order);
   }
   return order;
 }
@@ -146,27 +146,33 @@ std::string milestone_line(const patch::PipelineResult& result) {
   return out;
 }
 
-/// The Table-V overhead of a ladder run (order-2+ mode), each figure
-/// labelled with the order it was measured at: the order-1 fix-point, the
-/// order-2 milestone, then the final image when it is a different point —
-/// marked "(residual risk)" unless its own order is clean.
-std::string ladder_overhead(const patch::PipelineResult& result) {
-  const unsigned final_order =
-      result.final_campaign.tuple_order != 0 ? result.final_campaign.tuple_order : 2;
-  const bool final_clean =
-      result.orderk_fixpoint || (final_order == 2 && result.order2_fixpoint);
+/// The Table-V overhead of a fix-point run, each figure labelled with the
+/// order it was measured at: the order-1 milestone, the order-2 milestone
+/// (or a final image clean at order 2), then the final image when it is a
+/// different point — marked "(residual risk)" unless the final sweep is
+/// clean at its own order.
+std::string overhead_line(const patch::PipelineResult& result) {
+  const unsigned final_order = result.final_campaign.order;
+  const bool final_clean = result.clean_at(final_order);
+  std::string out;
+  const auto point = [&](unsigned order, std::uint64_t code_size) {
+    if (!out.empty()) out += " -> ";
+    out += "order-" + std::to_string(order) + " " +
+           support::format_fixed(result.overhead_percent_at(code_size), 1) + "%";
+  };
+  const bool has_order1 = result.milestone(1) != nullptr;
+  if (has_order1) point(1, result.order1_code_size());
   const patch::OrderMilestone* order2 = result.milestone(2);
-  std::string out =
-      "order-1 " + support::format_fixed(result.order1_overhead_percent(), 1) + "%";
-  if (order2 != nullptr || result.order2_fixpoint) {
+  if (order2 != nullptr || result.clean_at(2)) {
     const std::uint64_t size = order2 != nullptr ? order2->code_size : result.hardened_code_size;
-    out += " -> order-2 " + support::format_fixed(result.overhead_percent_at(size), 1) +
-           "% (+" + support::format_fixed(result.order2_overhead_delta_percent(), 1) +
-           " points for closing the order-2 gap)";
+    point(2, size);
+    if (has_order1) {
+      out += " (+" + support::format_fixed(result.order2_overhead_delta_percent(), 1) +
+             " points for closing the order-2 gap)";
+    }
     if (final_order == 2 && final_clean && size == result.hardened_code_size) return out;
   }
-  out += " -> order-" + std::to_string(final_order) + " " +
-         support::format_fixed(result.overhead_percent(), 1) + "%";
+  point(final_order, result.hardened_code_size);
   if (!final_clean) out += " (residual risk)";
   return out;
 }
@@ -224,41 +230,6 @@ std::string campaign_markdown_section(const std::string& binary_name,
   if (!campaign.vulnerabilities.empty()) {
     out += "\n" + vulnerable_point_table(campaign).render_markdown();
   }
-  return out;
-}
-
-std::string fixpoint_markdown_section(const std::string& binary_name,
-                                      const patch::PipelineResult& result) {
-  std::string out = "### Faulter+Patcher fix-point: " + binary_name + "\n\n";
-  const unsigned max_order = max_iteration_order(result);
-  TextTable table;
-  table.add_row({"iteration", "order", "faults",
-                 max_order >= 3 ? "sets" : "pairs", "sites", "patched",
-                 "code bytes"});
-  for (std::size_t i = 0; i < result.iterations.size(); ++i) {
-    const patch::IterationReport& it = result.iterations[i];
-    table.add_row({std::to_string(i), std::to_string(it.order),
-                   std::to_string(it.successful_faults), residual_cell(it),
-                   sites_cell(it), std::to_string(it.patches_applied),
-                   std::to_string(it.code_size)});
-  }
-  out += table.render_markdown();
-  out += "\nFix-point: **" + std::string(result.fixpoint ? "yes" : "NO (cap hit)") +
-         "**; order-2 clean: **" + std::string(result.order2_fixpoint ? "yes" : "NO") +
-         "**";
-  if (max_order >= 3) {
-    out += "; order-" + std::to_string(max_order) +
-           " clean: **" + std::string(result.orderk_fixpoint ? "yes" : "NO") + "**";
-  }
-  out += ". Overhead (Table-V style): " +
-         (result.order1_code_size != 0
-              ? ladder_overhead(result)
-              : support::format_fixed(result.overhead_percent(), 1) + "%") +
-         ".";
-  if (max_order >= 3 && !result.order_milestones.empty()) {
-    out += " Overhead vs k: " + milestone_line(result) + ".";
-  }
-  out += "\n";
   return out;
 }
 
@@ -356,39 +327,14 @@ std::string campaign_report(const std::string& binary_name, const elf::Image& im
   return campaign_section(binary_name, result);
 }
 
-std::string fixpoint_section(const std::string& binary_name,
-                             const patch::PipelineResult& result) {
-  // Order-2+ runs get the full trajectory section; order-1 runs the same
-  // table without the pair columns.
-  if (result.order1_code_size != 0) return order2_fixpoint_section(binary_name, result);
-  std::string out = "fix-point trajectory: " + binary_name + "\n";
-  TextTable table;
-  table.add_row({"iteration", "faults", "points", "patched", "unpatchable", "code bytes"});
-  for (std::size_t i = 0; i < result.iterations.size(); ++i) {
-    const patch::IterationReport& it = result.iterations[i];
-    table.add_row({std::to_string(i), std::to_string(it.successful_faults),
-                   std::to_string(it.vulnerable_points),
-                   std::to_string(it.patches_applied),
-                   std::to_string(it.unpatchable_points), std::to_string(it.code_size)});
-  }
-  out += table.render();
-  out += "  fix-point: " + std::string(result.fixpoint ? "yes" : "NO (cap hit)") + "\n";
-  out += "  code size: " + std::to_string(result.original_code_size) + " -> " +
-         std::to_string(result.hardened_code_size) + " bytes (overhead " +
-         support::format_fixed(result.overhead_percent(), 1) + "%)\n";
-  return out;
-}
-
-std::string order2_fixpoint_section(const std::string& binary_name,
-                                    const patch::PipelineResult& result) {
-  const unsigned max_order = max_iteration_order(result);
-  std::string out = "order-" + std::to_string(max_order) +
-                    " fix-point trajectory: " + binary_name + "\n";
+std::string fixpoint_report(const std::string& binary_name,
+                            const patch::PipelineResult& result, std::string_view format) {
+  if (format == "json") return result.to_json();
+  const unsigned max_order = swept_order(result);
 
   TextTable table;
-  table.add_row({"iteration", "order", "faults",
-                 max_order >= 3 ? "sets" : "pairs", "sites", "patched",
-                 "code bytes"});
+  table.add_row({"iteration", "order", "faults", max_order == 2 ? "pairs" : "sets",
+                 "sites", "patched", "code bytes"});
   for (std::size_t i = 0; i < result.iterations.size(); ++i) {
     const patch::IterationReport& it = result.iterations[i];
     table.add_row({std::to_string(i), std::to_string(it.order),
@@ -396,20 +342,54 @@ std::string order2_fixpoint_section(const std::string& binary_name,
                    sites_cell(it), std::to_string(it.patches_applied),
                    std::to_string(it.code_size)});
   }
-  out += table.render();
 
-  out += "  fix-point: " + std::string(result.fixpoint ? "yes" : "NO (cap hit)") +
-         ", order-2 clean: " + std::string(result.order2_fixpoint ? "yes" : "NO");
-  if (max_order >= 3) {
-    out += ", order-" + std::to_string(max_order) +
-           " clean: " + std::string(result.orderk_fixpoint ? "yes" : "NO");
+  // The verdicts: fix-point, then clean at order 2 (order 1 for an order-1
+  // run) and at the highest order swept.
+  std::vector<std::pair<std::string, std::string>> clauses = {
+      {"fix-point", result.fixpoint() ? "yes" : "NO (cap hit)"}};
+  const auto clean_clause = [&](unsigned order) {
+    clauses.emplace_back("order-" + std::to_string(order) + " clean",
+                         result.clean_at(order) ? "yes" : "NO");
+  };
+  clean_clause(std::min(max_order, 2u));
+  if (max_order >= 3) clean_clause(max_order);
+  const std::string overhead = overhead_line(result);
+  const std::string trajectory = max_order >= 3 ? milestone_line(result) : std::string{};
+
+  std::string out;
+  if (format == "markdown") {
+    out = "### Faulter+Patcher fix-point: " + binary_name + "\n\n" +
+          table.render_markdown() + "\n";
+    for (std::size_t i = 0; i < clauses.size(); ++i) {
+      std::string label = clauses[i].first;
+      if (i == 0) label[0] = static_cast<char>(std::toupper(label[0]));
+      out += (i == 0 ? "" : "; ") + label + ": **" + clauses[i].second + "**";
+    }
+    out += ". Overhead (Table-V style): " + overhead + ".";
+    if (!trajectory.empty()) out += " Overhead vs k: " + trajectory + ".";
+    return out + "\n";
   }
-  out += "\n";
-  out += "  overhead (Table-V style): " + ladder_overhead(result) + "\n";
-  if (max_order >= 3 && !result.order_milestones.empty()) {
-    out += "  overhead vs k:  " + milestone_line(result) + "\n";
+  out = "order-" + std::to_string(max_order) + " fix-point trajectory: " + binary_name +
+        "\n" + table.render() + "  ";
+  for (std::size_t i = 0; i < clauses.size(); ++i) {
+    out += (i == 0 ? "" : ", ") + clauses[i].first + ": " + clauses[i].second;
   }
+  out += "\n  overhead (Table-V style): " + overhead + "\n";
+  if (!trajectory.empty()) out += "  overhead vs k:  " + trajectory + "\n";
   return out;
+}
+
+std::string faulter_patcher_summary(const patch::PipelineResult& result) {
+  const unsigned order = result.final_campaign.order;
+  std::string out = "faulter+patcher: " + std::to_string(result.iterations.size()) +
+                    " iteration(s), fix-point " +
+                    (result.fixpoint() ? "reached" : "NOT reached (cap hit)") +
+                    ", residual " + std::to_string(result.residual_count(1)) +
+                    " fault(s) / " + std::to_string(result.residual_count(2)) + " pair(s)";
+  if (order >= 3) {
+    out += " / " + std::to_string(result.residual_count(order)) + " tuple(s)";
+  }
+  return out + "\n";
 }
 
 }  // namespace r2r::harden

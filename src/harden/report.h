@@ -1,6 +1,7 @@
 // r2r::harden — the report surfaces: plain-text and markdown sections for
-// the CLI, the r2rd daemon and the benches, and campaign_report(), the one
-// campaign run-and-render both the CLI and the daemon call.
+// the CLI, the r2rd daemon and the benches; campaign_report() and
+// fixpoint_report(), the one campaign and fix-point renderings both the CLI
+// and the daemon call.
 #pragma once
 
 #include <string>
@@ -53,8 +54,6 @@ std::string campaign_markdown_section(const std::string& binary_name,
                                       const sim::CampaignResult& campaign);
 std::string tuple_campaign_markdown_section(const std::string& binary_name,
                                             const sim::TupleCampaignResult& tuples);
-std::string fixpoint_markdown_section(const std::string& binary_name,
-                                      const patch::PipelineResult& result);
 
 /// The residual-k-tuple section: what an order-k (k >= 2) campaign still
 /// finds on a binary after (single-fault) hardening — the per-level
@@ -73,24 +72,23 @@ std::string campaign_report(const std::string& binary_name, const elf::Image& im
                             const std::string& good_input, const std::string& bad_input,
                             const fault::CampaignConfig& config, std::string_view format);
 
-/// The fix-point trajectory section for a Faulter+Patcher run — the text
-/// rendering of patch::PipelineResult. Order-2 runs (order1_code_size set)
-/// delegate to order2_fixpoint_section; order-1 runs render the same
-/// per-iteration table without the pair columns. Shared by `r2r fixpoint`
-/// and the r2rd campaign service, so a daemon answer is byte-identical to
-/// the one-shot subcommand's.
-std::string fixpoint_section(const std::string& binary_name,
-                             const patch::PipelineResult& result);
+/// The fix-point report of a Faulter+Patcher run as `format` ("json",
+/// "markdown", anything else text): one per-iteration table (campaign
+/// order, faults and residual pairs/sets found, implicated sites, patches
+/// applied, code size) and one list of clauses — the fix-point verdict, the
+/// clean status at order 2 (order 1 for an order-1 run) and at the highest
+/// order swept, the Table-V overhead with each figure labelled by its order
+/// and "(residual risk)" where that order is not clean, and for order-3+
+/// runs the overhead-vs-k milestones. JSON is PipelineResult::to_json().
+/// Shared by `r2r fixpoint`, the r2rd fixpoint job and the benches, so a
+/// daemon answer is byte-identical to the one-shot subcommand's.
+std::string fixpoint_report(const std::string& binary_name,
+                            const patch::PipelineResult& result, std::string_view format);
 
-/// The order-2+ fix-point section of a hardening report: the per-iteration
-/// trajectory of the ladder-aware Faulter+Patcher loop (campaign order,
-/// faults and residual pairs/tuples found, implicated sites, patches
-/// applied, code size) plus the Table-V-style overhead split — what order-1
-/// hardening cost, what closing the order-2 gap added on top, and the final
-/// overhead under its own order, marked "(residual risk)" when that order
-/// is not clean. Runs that climbed past order 2 get an extra order-k clean
-/// flag and the overhead-vs-k milestone trajectory.
-std::string order2_fixpoint_section(const std::string& binary_name,
-                                    const patch::PipelineResult& result);
+/// The one-line verdict `harden --patterns` prints (CLI and r2rd alike):
+/// iterations, fix-point, and the final campaign's residue — singles,
+/// pairs (an order-3+ sweep's level 2 included) and, at order >= 3, the
+/// top-level tuples.
+std::string faulter_patcher_summary(const patch::PipelineResult& result);
 
 }  // namespace r2r::harden

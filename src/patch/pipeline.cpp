@@ -24,27 +24,6 @@ IterationReport make_report(const fault::CampaignResult& campaign, unsigned orde
   return report;
 }
 
-/// Lowest campaign order with a successful fault set, or 0 when the
-/// campaign is clean at every level it swept. Order-2 campaigns carry their
-/// level-2 residue in pair_vulnerabilities; order-3+ campaigns carry every
-/// level 2..k in tuple_levels (the top level's successes are both the last
-/// level summary and tuple_vulnerabilities).
-unsigned lowest_dirty_order(const fault::CampaignResult& campaign) {
-  if (!campaign.vulnerabilities.empty()) return 1;
-  if (!campaign.pair_vulnerabilities.empty()) return 2;
-  for (const fault::TupleLevelSummary& level : campaign.tuple_levels) {
-    if (level.successful != 0) return level.order;
-  }
-  return 0;
-}
-
-/// True when an order >= 2 campaign found no successful single fault and
-/// no successful level-2 set.
-bool order2_clean(const fault::CampaignResult& campaign) {
-  const unsigned dirty_order = lowest_dirty_order(campaign);
-  return dirty_order == 0 || dirty_order > 2;
-}
-
 /// Latest-wins milestone bookkeeping: the ladder can drop back and re-prove
 /// an order clean at a larger code size; the trajectory reports the size
 /// that finally stuck.
@@ -82,124 +61,78 @@ PipelineResult faulter_patcher(const elf::Image& input, const std::string& good_
       obs::Metrics::instance().counter("fixpoint.patches_applied");
 
   PipelineResult result;
+  result.requested_order = requested_order;
   result.original_code_size = input.code_size();
   result.module = bir::recover(input);
 
-  // ---- phase 1: the paper's Fig. 2 loop — order-1 campaigns only. Even
-  // when order 2 was requested, the single-fault fix-point is driven by
-  // order-1 sweeps: they are a fraction of a pair sweep's cost, and the
-  // order-2 phase re-checks the order-1 residue anyway.
-  fault::CampaignConfig order1_campaign = config.campaign;
-  order1_campaign.models.order = 1;
-
-  unsigned iteration = 0;
-  for (; iteration < config.max_iterations; ++iteration) {
-    obs::Span iter_span("fixpoint.iteration",
-                        obs::args_u64({{"iteration", iteration}, {"order", 1}}));
-    iterations_total.add(1);
-    elf::Image image = bir::assemble(result.module);
-    fault::CampaignResult campaign = [&] {
-      obs::Span span("fixpoint.campaign");
-      return fault::run_campaign(image, good_input, bad_input, order1_campaign);
-    }();
-    IterationReport report = make_report(campaign, 1, image.code_size());
-    iter_span.set_args(obs::args_u64({{"iteration", iteration},
-                                      {"order", 1},
-                                      {"successful_faults",
-                                       report.successful_faults}}));
-
-    if (campaign.vulnerabilities.empty()) {
-      result.hardened = std::move(image);
-      result.final_campaign = std::move(campaign);
-      result.fixpoint = true;
-      result.iterations.push_back(report);
-      break;
-    }
-
-    const PatchStats stats = [&] {
-      obs::Span span("fixpoint.patch");
-      return apply_patches(result.module, campaign.vulnerabilities);
-    }();
-    report.patches_applied = stats.total_applied();
-    patches_total.add(stats.total_applied());
-    report.unpatchable_points = stats.unpatchable.size();
-    result.iterations.push_back(report);
-
-    if (stats.total_applied() == 0) {
-      // Every remaining vulnerability is unpatchable: a fix-point with
-      // residual risk (the paper's single-bit-flip case).
-      result.hardened = std::move(image);
-      result.final_campaign = std::move(campaign);
-      result.fixpoint = true;
-      break;
-    }
-  }
-
-  if (result.hardened.segments.empty()) {
-    // Iteration cap hit mid-phase-1: report the state of the last patched
-    // module (order-2 phase never ran).
-    result.hardened = bir::assemble(result.module);
-    result.final_campaign =
-        fault::run_campaign(result.hardened, good_input, bad_input, order1_campaign);
-    result.hardened_code_size = result.hardened.code_size();
-    return result;
-  }
-
-  if (requested_order < 2) {
-    result.hardened_code_size = result.hardened.code_size();
-    return result;
-  }
-
-  // ---- phase 2: the order ladder. Each pass sweeps fault sets at the
-  // current rung (starting at pairs), maps every residual strictly-order-m
-  // set back to its static sites (every address its faults actually struck)
-  // and reinforces them at redundancy degree m; iterations count against
-  // the same cap as phase 1. The order-1 sweep is phase A of every
-  // higher-order sweep — and at order >= 3 every level 2..m-1 is swept on
-  // the way up — so regressions reinforcement introduces at a cheaper order
-  // are caught in the same pass and send the ladder back down to the lowest
-  // dirty rung. A rung proven clean advances the ladder and records its
-  // code size as that order's milestone (the overhead-vs-k trajectory).
-  result.order1_code_size = result.hardened.code_size();
-  record_milestone(result.order_milestones, 1, result.order1_code_size);
+  // The order ladder. Each pass sweeps fault sets at the current rung,
+  // patches the order-1 vulnerabilities, maps every residual
+  // strictly-order-m set back to its static sites (every address its faults
+  // actually struck) and reinforces them at redundancy degree m. Rung 1 is
+  // the paper's Fig. 2 loop: order-1 sweeps cost a fraction of a pair
+  // sweep's, and every higher sweep re-checks the order-1 residue anyway
+  // (at order >= 3 every level 2..m-1 is swept on the way up too), so
+  // regressions reinforcement introduces at a cheaper order are caught in
+  // the same pass and send the ladder back down to the lowest dirty rung —
+  // never below 2. A rung proven clean advances the ladder and records its
+  // code size as that order's milestone (the overhead-vs-k trajectory; ladder
+  // runs only).
   const std::uint64_t pair_window = config.campaign.models.pair_window;
-  result.fixpoint = false;
-  result.hardened = elf::Image{};  // re-established by the ladder
+  fault::CampaignConfig campaign_config = config.campaign;
+  unsigned rung = 1;
+  const auto record = [&](unsigned order, std::uint64_t code_size) {
+    if (requested_order >= 2) record_milestone(result.order_milestones, order, code_size);
+  };
+  const auto finish = [&](elf::Image image, fault::CampaignResult campaign) {
+    result.hardened = std::move(image);
+    result.final_campaign = std::move(campaign);
+    result.hardened_code_size = result.hardened.code_size();
+  };
 
-  unsigned current_order = 2;
-  fault::CampaignConfig ladder_campaign = config.campaign;
+  while (true) {
+    if (result.iterations.size() >= config.max_iterations) {
+      // Iteration cap hit: report the last patched module against the
+      // *requested* order, so the caller gets that order's residue whatever
+      // rung the cap interrupted. A clean sweep is a fix-point even here.
+      result.cap_hit = true;
+      elf::Image image = bir::assemble(result.module);
+      fault::CampaignResult campaign =
+          fault::run_campaign(image, good_input, bad_input, config.campaign);
+      finish(std::move(image), std::move(campaign));
+      if (result.clean_at(requested_order)) {
+        record(requested_order, result.hardened_code_size);
+      }
+      break;
+    }
 
-  // The shared cap counts campaigns actually run: phase 1's fix-point pass
-  // broke out before its ++, so resume from the report count.
-  iteration = static_cast<unsigned>(result.iterations.size());
-  for (; iteration < config.max_iterations; ++iteration) {
-    ladder_campaign.models.order = current_order;
+    const unsigned iteration = static_cast<unsigned>(result.iterations.size());
+    campaign_config.models.order = rung;
     obs::Span iter_span("fixpoint.iteration",
-                        obs::args_u64({{"iteration", iteration},
-                                       {"order", current_order}}));
+                        obs::args_u64({{"iteration", iteration}, {"order", rung}}));
     iterations_total.add(1);
     elf::Image image = bir::assemble(result.module);
     fault::CampaignResult campaign = [&] {
       obs::Span span("fixpoint.campaign");
-      return fault::run_campaign(image, good_input, bad_input, ladder_campaign);
+      return fault::run_campaign(image, good_input, bad_input, campaign_config);
     }();
 
-    IterationReport report = make_report(campaign, current_order, image.code_size());
+    IterationReport report = make_report(campaign, rung, image.code_size());
     report.total_pairs = campaign.total_pairs;
     report.successful_pairs = campaign.pair_vulnerabilities.size();
     report.total_tuples = campaign.total_tuples;
     report.successful_tuples = campaign.tuple_vulnerabilities.size();
     iter_span.set_args(obs::args_u64(
         {{"iteration", iteration},
-         {"order", current_order},
+         {"order", rung},
          {"successful_faults", report.successful_faults},
          {"successful_pairs", report.successful_pairs},
          {"successful_tuples", report.successful_tuples}}));
     // Reinforce only the strictly-order-m sets: a set one of whose faults
     // succeeds alone is just that order-1 vulnerability republished
     // (reuse-from-first pads it with golden addresses the later faults
-    // never strike) — the order-1 patcher owns those sites.
-    const bool pairs = current_order == 2;
+    // never strike) — the order-1 patcher owns those sites. An order-1
+    // sweep has none.
+    const bool pairs = rung == 2;
     const std::vector<fault::TupleVulnerability> strict = fault::strictly_order_k(
         campaign.vulnerabilities,
         pairs ? campaign.pair_vulnerabilities : campaign.tuple_vulnerabilities);
@@ -207,19 +140,15 @@ PipelineResult faulter_patcher(const elf::Image& input, const std::string& good_
     (pairs ? report.strictly_second_order : report.strictly_order_k) = strict.size();
     (pairs ? report.pair_patch_sites : report.tuple_patch_sites) = sites.size();
 
-    const unsigned dirty_order = lowest_dirty_order(campaign);
+    const unsigned dirty_order = campaign.lowest_successful_order();
     if (dirty_order == 0) {
-      record_milestone(result.order_milestones, current_order, image.code_size());
+      record(rung, image.code_size());
       result.iterations.push_back(report);
-      if (current_order >= requested_order) {
-        result.hardened = std::move(image);
-        result.final_campaign = std::move(campaign);
-        result.fixpoint = true;
-        result.order2_fixpoint = true;
-        result.orderk_fixpoint = true;
+      if (rung >= requested_order) {
+        finish(std::move(image), std::move(campaign));
         break;
       }
-      ++current_order;  // rung clean — climb (re-sweeping the same image)
+      ++rung;  // rung clean — climb (re-sweeping the same image)
       continue;
     }
 
@@ -241,8 +170,8 @@ PipelineResult faulter_patcher(const elf::Image& input, const std::string& good_
                                                            patched.end(), site);
                                }),
                 sites.end());
-    const PatchStats reinforce_stats = reinforce_sites(
-        result.module, std::move(sites), pair_window, current_order);
+    const PatchStats reinforce_stats =
+        reinforce_sites(result.module, std::move(sites), pair_window, rung);
     patch_span.end();
     for (const auto& [kind, count] : reinforce_stats.applied) {
       stats.applied[kind] += count;
@@ -260,55 +189,44 @@ PipelineResult faulter_patcher(const elf::Image& input, const std::string& good_
     result.iterations.push_back(report);
 
     if (stats.total_applied() == 0) {
-      if (dirty_order >= 2 && dirty_order < current_order) {
+      if (dirty_order >= 2 && dirty_order < rung) {
         // This sweep's top level is clean but an intermediate level still
         // succeeds, so there was no fault set to map to sites. Drop back to
         // the dirty rung: its own sweep exposes that level's fault sets as
         // top-level vulnerabilities the patcher can reach.
-        current_order = dirty_order;
+        rung = dirty_order;
         continue;
       }
-      // No patch or reinforcement left anywhere — the ladder analogue of
-      // phase 1's fix-point with residual risk (e.g. an unpatchable order-1
-      // bit-flip residue, whose republished sets are filtered above, so
-      // the loop does not burn the cap re-sweeping a binary it cannot
-      // improve).
-      result.hardened = std::move(image);
-      result.final_campaign = std::move(campaign);
-      result.fixpoint = true;
-      result.order2_fixpoint = order2_clean(result.final_campaign);
+      if (rung == 1 && requested_order >= 2) {
+        // Unpatchable order-1 residue (the paper's single-bit-flip case)
+        // does not end a ladder run: climb, recording where rung 1 ended.
+        record(1, image.code_size());
+        ++rung;
+        continue;
+      }
+      // No patch or reinforcement left anywhere: a fix-point with residual
+      // risk (e.g. an unpatchable order-1 bit-flip residue, whose
+      // republished sets are filtered above, so the loop does not burn the
+      // cap re-sweeping a binary it cannot improve).
+      finish(std::move(image), std::move(campaign));
       break;
     }
     // Something was patched. Resume at the lowest dirty rung (never below
     // 2 — singles ride along in every sweep) so cheap sweeps clear cheap
     // regressions before the next expensive order-m sweep.
-    if (dirty_order >= 2 && dirty_order < current_order) current_order = dirty_order;
+    if (dirty_order >= 2 && dirty_order < rung) rung = dirty_order;
   }
-
-  if (result.hardened.segments.empty()) {
-    // Iteration cap hit: report the state of the last reinforced module
-    // against the *requested* order. (When phase 1 consumed the whole cap,
-    // this is the first — and only — higher-order campaign, so the caller
-    // still gets pair/tuple data.) A clean final campaign is a genuine fix
-    // point even at the cap.
-    result.hardened = bir::assemble(result.module);
-    result.final_campaign =
-        fault::run_campaign(result.hardened, good_input, bad_input, config.campaign);
-    const bool clean = lowest_dirty_order(result.final_campaign) == 0;
-    result.orderk_fixpoint = clean;
-    result.order2_fixpoint = order2_clean(result.final_campaign);
-    result.fixpoint = clean;
-    if (clean) {
-      record_milestone(result.order_milestones, requested_order,
-                       result.hardened.code_size());
-    }
-  }
-  result.hardened_code_size = result.hardened.code_size();
   return result;
 }
 
+bool PipelineResult::clean_at(unsigned order) const {
+  if (final_campaign.order < order) return false;
+  const unsigned dirty_order = final_campaign.lowest_successful_order();
+  return dirty_order == 0 || dirty_order > order;
+}
+
 double PipelineResult::order2_overhead_delta_percent() const {
-  if (order1_code_size == 0) return 0.0;
+  if (order1_code_size() == 0) return 0.0;
   const OrderMilestone* order2 = milestone(2);
   const std::uint64_t size = order2 != nullptr ? order2->code_size : hardened_code_size;
   const auto printed = [](double percent) {
@@ -319,13 +237,13 @@ double PipelineResult::order2_overhead_delta_percent() const {
 
 std::string PipelineResult::to_json() const {
   std::string json = "{\n";
-  json += "  \"fixpoint\": " + std::string(fixpoint ? "true" : "false") + ",\n";
-  json += "  \"order2_fixpoint\": " + std::string(order2_fixpoint ? "true" : "false") +
-          ",\n";
-  json += "  \"orderk_fixpoint\": " + std::string(orderk_fixpoint ? "true" : "false") +
-          ",\n";
+  const auto flag = [](bool value) { return std::string(value ? "true" : "false"); };
+  json += "  \"fixpoint\": " + flag(fixpoint()) + ",\n";
+  json += "  \"order2_fixpoint\": " + flag(clean_at(2)) + ",\n";
+  json += "  \"orderk_fixpoint\": " +
+          flag(requested_order >= 2 && clean_at(requested_order)) + ",\n";
   json += "  \"original_code_size\": " + std::to_string(original_code_size) + ",\n";
-  json += "  \"order1_code_size\": " + std::to_string(order1_code_size) + ",\n";
+  json += "  \"order1_code_size\": " + std::to_string(order1_code_size()) + ",\n";
   json += "  \"hardened_code_size\": " + std::to_string(hardened_code_size) + ",\n";
   json += "  \"overhead_percent\": " + support::format_fixed(overhead_percent(), 1) +
           ",\n";

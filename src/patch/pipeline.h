@@ -6,17 +6,19 @@
 //
 // Iterates until no patchable vulnerability remains (fix-point) or the
 // iteration cap is hit. Patching changes distances between instructions and
-// can surface new vulnerabilities, exactly as Section IV-B.3 describes.
+// can surface new vulnerabilities, exactly as Section IV-B.3 describes. When
+// the cap stops the loop, the last patched module is swept once more at the
+// requested order, and a clean sweep there is still a fix-point.
 //
-// Order-k mode (campaign.models.order == k >= 2): once the order-1
-// fix-point is reached, the loop climbs an order ladder — campaigns at
-// order m map every residual strictly-order-m fault set back to its static
-// patch sites and reinforce them at redundancy degree m
-// (reinforce_instruction), advancing to order m+1 only when order m is
-// clean and dropping back to the lowest dirty level whenever reinforcement
-// regresses a cheaper order. This closes the gap the paper's Fig. 2 leaves
-// open: its loop only ever re-runs order-1 campaigns, so it declares
-// victory on binaries a k-glitch attacker still breaks.
+// Order-k mode (campaign.models.order == k >= 2): the same loop climbs an
+// order ladder. Rung 1 is the paper's loop; a campaign at rung m maps every
+// residual strictly-order-m fault set back to its static patch sites and
+// reinforces them at redundancy degree m (reinforce_instruction), advancing
+// to rung m+1 only when order m is clean and dropping back to the lowest
+// dirty rung whenever reinforcement regresses a cheaper order. This closes
+// the gap the paper's Fig. 2 leaves open: its loop only ever re-runs order-1
+// campaigns, so it declares victory on binaries a k-glitch attacker still
+// breaks.
 #pragma once
 
 #include <cstdint>
@@ -31,9 +33,9 @@ namespace r2r::patch {
 
 struct PipelineConfig {
   /// campaign.models.order selects the fix-point target: 1 = the paper's
-  /// loop, k >= 2 = order-1 fix-point followed by the order ladder up to
-  /// order-k reinforcement (campaign.models.max_tuples / sample_seed bound
-  /// the order-3+ sweeps). The iteration cap is shared across all phases.
+  /// loop, k >= 2 = the order ladder up to order-k reinforcement
+  /// (campaign.models.max_tuples / sample_seed bound the order-3+ sweeps).
+  /// The iteration cap counts the sweeps of every rung.
   fault::CampaignConfig campaign;
   unsigned max_iterations = 12;
 };
@@ -58,38 +60,32 @@ struct IterationReport {
 };
 
 /// One point of the overhead-vs-k trajectory: the code size at which a
-/// campaign order was last proven clean by the ladder.
+/// ladder rung was last left behind — order 1 when the ladder climbed past
+/// it (clean, or with unpatchable residue), order m >= 2 when a sweep proved
+/// it clean.
 struct OrderMilestone {
-  unsigned order = 0;            ///< campaign order proven clean
-  std::uint64_t code_size = 0;   ///< bytes of .text at that order's fix-point
+  unsigned order = 0;
+  std::uint64_t code_size = 0;   ///< bytes of .text at that milestone
 };
 
+/// What a Faulter+Patcher run stores is what it did: the trajectory, the
+/// final image and the campaign against it, the requested order and whether
+/// the iteration cap stopped it. Every fix-point status is derived from
+/// those, so no flag can contradict the final sweep it describes.
 struct PipelineResult {
   bir::Module module;            ///< final (hardened) module
   elf::Image hardened;           ///< final image
   std::vector<IterationReport> iterations;
-  fault::CampaignResult final_campaign;  ///< campaign against the final image
-  bool fixpoint = false;         ///< no patchable vulnerabilities remain
-  /// Order-2+ mode: the final campaign found zero successful pairs (and zero
-  /// successful single faults) — its level-2 residue, so an order-k run
-  /// that ends with residual risk at order k can still be order-2 clean.
-  /// Always false when order 1 was requested or when the iteration cap hit
-  /// during the order-1 phase.
-  bool order2_fixpoint = false;
-  /// Order-2+ mode: the final campaign at the *requested* order found zero
-  /// successful fault sets at every level (singles and every tuple level
-  /// 2..k). Equals order2_fixpoint when order 2 was requested; always false
-  /// when order 1 was requested.
-  bool orderk_fixpoint = false;
+  /// Campaign against the final image, at the rung the loop stopped on; the
+  /// cap-hit exit sweeps at the requested order.
+  fault::CampaignResult final_campaign;
+  unsigned requested_order = 1;  ///< the fix-point target (campaign.models.order)
+  bool cap_hit = false;          ///< the iteration cap stopped the loop
   std::uint64_t original_code_size = 0;
   std::uint64_t hardened_code_size = 0;
-  /// Order-2 mode: bytes of .text at the order-1 fix-point — the baseline
-  /// of the order-2 overhead delta. Zero when order 1 was requested.
-  std::uint64_t order1_code_size = 0;
-  /// Overhead-vs-k trajectory, ascending by order: code size at each order's
-  /// latest clean sweep (order 1 mirrors order1_code_size; the requested
-  /// order appears only if the ladder proved it clean). Empty when order 1
-  /// was requested.
+  /// Overhead-vs-k trajectory, ascending by order (latest wins when the
+  /// ladder drops back and re-proves a rung). Empty when order 1 was
+  /// requested.
   std::vector<OrderMilestone> order_milestones;
 
   /// Table-V-style overhead of a `code_size`-byte .text over the original.
@@ -105,18 +101,44 @@ struct PipelineResult {
     return overhead_percent_at(hardened_code_size);
   }
 
-  /// Table-V-style overhead of the order-1 phase alone (order-2 mode only).
-  [[nodiscard]] double order1_overhead_percent() const noexcept {
-    return order1_code_size == 0 ? 0.0 : overhead_percent_at(order1_code_size);
-  }
-
-  /// The milestone of `order`, or null when the ladder never proved that
-  /// order clean.
+  /// The milestone of `order`, or null when the ladder never recorded it.
   [[nodiscard]] const OrderMilestone* milestone(unsigned order) const noexcept {
     for (const OrderMilestone& m : order_milestones) {
       if (m.order == order) return &m;
     }
     return nullptr;
+  }
+
+  /// Bytes of .text when the ladder left rung 1 — the baseline of the
+  /// order-2 overhead delta; 0 when it never did (order-1 runs).
+  [[nodiscard]] std::uint64_t order1_code_size() const noexcept {
+    const OrderMilestone* order1 = milestone(1);
+    return order1 == nullptr ? 0 : order1->code_size;
+  }
+
+  /// Table-V-style overhead at order1_code_size(), 0 without it.
+  [[nodiscard]] double order1_overhead_percent() const noexcept {
+    return order1_code_size() == 0 ? 0.0 : overhead_percent_at(order1_code_size());
+  }
+
+  /// Successful fault sets of exactly `order` faults in the final campaign.
+  [[nodiscard]] std::uint64_t residual_count(unsigned order) const {
+    return final_campaign.successful_at(order);
+  }
+
+  /// The final campaign swept order >= `order` and found no successful
+  /// fault set at any level 1..order.
+  [[nodiscard]] bool clean_at(unsigned order) const;
+
+  /// No patchable vulnerability remains: the loop stopped on its own, or
+  /// the cap stopped it and the final sweep is clean.
+  [[nodiscard]] bool fixpoint() const { return !cap_hit || clean_at(requested_order); }
+
+  /// The run's verdict (its exit status everywhere): at order 1 the paper's
+  /// fix-point — unpatchable residue is reported, not a failure; at order
+  /// k >= 2 a final sweep clean at k.
+  [[nodiscard]] bool succeeded() const {
+    return requested_order >= 2 ? clean_at(requested_order) : fixpoint();
   }
 
   /// What closing the order-2 gap cost on top of order-1 hardening, in
@@ -127,8 +149,8 @@ struct PipelineResult {
   [[nodiscard]] double order2_overhead_delta_percent() const;
 
   /// JSON document for downstream tooling: the per-iteration trajectory,
-  /// fix-point flags, Table-V overhead split, and the final campaign
-  /// (schema in docs/formats.md).
+  /// the derived fix-point statuses, Table-V overhead split, and the final
+  /// campaign (schema in docs/formats.md).
   [[nodiscard]] std::string to_json() const;
 };
 

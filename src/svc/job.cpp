@@ -120,8 +120,17 @@ std::string JobSpec::cache_key() const {
   // cached order-3 exhaustive (or differently-seeded) answer. Schema 3:
   // order-2 campaign reports render through the order-k renderers, so no
   // cached order-2 report of the old shape may answer a new request.
-  canonical.set("r2rd_cache_key_schema", "3");
-  append_identity_fields(*this, canonical);
+  // Schema 4: below order 3 the sampling fields are keyed at their defaults
+  // (order-1 and order-2 sweeps ignore them), and fix-point reports carry
+  // the derived clean statuses and the one-loop cap rule.
+  canonical.set("r2rd_cache_key_schema", "4");
+  JobSpec identity = *this;
+  if (identity.campaign.models.order < 3) {
+    const sim::FaultModels defaults;
+    identity.campaign.models.max_tuples = defaults.max_tuples;
+    identity.campaign.models.sample_seed = defaults.sample_seed;
+  }
+  append_identity_fields(identity, canonical);
   return support::sha256_hex(encode_message(canonical));
 }
 
@@ -221,17 +230,9 @@ JobResult run_fixpoint_job(const JobSpec& spec) {
       patch::faulter_patcher(image, spec.guest.good_input, spec.guest.bad_input, config);
 
   JobResult job;
-  if (spec.format == "json") {
-    job.report = result.to_json();
-  } else if (spec.format == "markdown") {
-    job.report = harden::fixpoint_markdown_section(spec.guest.name, result);
-  } else {
-    job.report = harden::fixpoint_section(spec.guest.name, result);
-  }
+  job.report = harden::fixpoint_report(spec.guest.name, result, spec.format);
   job.elf = elf_bytes(result.hardened);
-  const bool clean =
-      spec.campaign.models.order >= 2 ? result.orderk_fixpoint : result.fixpoint;
-  job.exit_code = clean ? 0 : 1;
+  job.exit_code = result.succeeded() ? 0 : 1;
   return job;
 }
 
@@ -246,12 +247,7 @@ JobResult run_harden_job(const JobSpec& spec) {
     config.max_iterations = spec.max_iterations;
     const patch::PipelineResult result = patch::faulter_patcher(
         input, spec.guest.good_input, spec.guest.bad_input, config);
-    text += "faulter+patcher: " + std::to_string(result.iterations.size()) +
-            " iteration(s), fix-point " +
-            (result.fixpoint ? "reached" : "NOT reached (cap hit)") + ", residual " +
-            std::to_string(result.final_campaign.vulnerabilities.size()) + " fault(s) / " +
-            std::to_string(result.final_campaign.pair_vulnerabilities.size()) +
-            " pair(s)\n";
+    text += harden::faulter_patcher_summary(result);
     hardened = result.hardened;
   } else {
     // Daemon harden jobs run the default Hybrid configuration

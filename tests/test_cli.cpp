@@ -18,6 +18,7 @@
 #include "fault/campaign.h"
 #include "guests/guests.h"
 #include "sim/engine.h"
+#include "svc/job.h"
 
 namespace {
 
@@ -194,6 +195,97 @@ TEST(Cli, FixpointJsonAndElfOutputs) {
   const fault::CampaignResult campaign = fault::run_campaign(
       read_image(elf_path), guest.good_input, guest.bad_input, config);
   EXPECT_TRUE(campaign.vulnerabilities.empty());
+}
+
+TEST(Cli, FixpointCapHitWithACleanFinalSweepExitsZero) {
+  const CliResult capped =
+      run_cli({"fixpoint", "toymov", "--model", "skip", "--max-iterations", "1"});
+  EXPECT_EQ(capped.exit_code, 0) << capped.out;
+  EXPECT_NE(capped.out.find("  fix-point: yes, order-1 clean: yes\n"), std::string::npos)
+      << capped.out;
+  // --max-iterations 2 sweeps the same image clean as its own iteration.
+  const CliResult uncapped =
+      run_cli({"fixpoint", "toymov", "--model", "skip", "--max-iterations", "2"});
+  EXPECT_EQ(uncapped.exit_code, 0);
+  EXPECT_NE(uncapped.out.find("| 1         | 1     | 0      | -    | -     | 0       | "
+                              "261        |"),
+            std::string::npos)
+      << uncapped.out;
+}
+
+TEST(Cli, FixpointCapHitReportsTheRequestedOrder) {
+  const std::vector<std::string> args = {"fixpoint", "toymov", "--model", "skip",
+                                         "--order", "2", "--max-iterations", "1"};
+  const CliResult text = run_cli(args);
+  EXPECT_EQ(text.exit_code, 1);
+  EXPECT_NE(text.out.find("  fix-point: NO (cap hit), order-2 clean: NO\n"),
+            std::string::npos)
+      << text.out;
+  std::vector<std::string> json_args = args;
+  json_args.insert(json_args.end(), {"--format", "json"});
+  const CliResult json = run_cli(json_args);
+  EXPECT_EQ(json.exit_code, 1);
+  EXPECT_NE(json.out.find("\"total_pairs\": 180,"), std::string::npos) << json.out;
+}
+
+TEST(Cli, FixpointOrder1ResidualRiskExitsZeroButIsNotClean) {
+  const CliResult text = run_cli({"fixpoint", "pincheck", "--order", "1"});
+  EXPECT_EQ(text.exit_code, 0);
+  EXPECT_NE(text.out.find("order-1 clean: NO"), std::string::npos) << text.out;
+  EXPECT_NE(text.out.find("order-1 79.3% (residual risk)"), std::string::npos) << text.out;
+  const CliResult markdown =
+      run_cli({"fixpoint", "pincheck", "--order", "1", "--format", "markdown"});
+  EXPECT_EQ(markdown.exit_code, 0);
+  EXPECT_NE(markdown.out.find("order-1 clean: **NO**"), std::string::npos) << markdown.out;
+  EXPECT_EQ(markdown.out.find("order-2 clean"), std::string::npos) << markdown.out;
+}
+
+// Daemon == CLI at order 3: the r2rd job renders through the same report
+// functions as the one-shot subcommands.
+svc::JobSpec order3_skip_job(svc::JobKind kind) {
+  svc::JobSpec spec;
+  spec.kind = kind;
+  spec.guest = guests::toymov();
+  spec.campaign.models.bit_flip = false;
+  spec.campaign.models.order = 3;
+  return spec;
+}
+
+TEST(Cli, FixpointOrder3MatchesTheDaemonJob) {
+  for (const char* format : {"text", "json", "markdown"}) {
+    svc::JobSpec spec = order3_skip_job(svc::JobKind::kFixpoint);
+    spec.format = format;
+    const svc::JobResult job = svc::run_job(spec);
+    const CliResult cli = run_cli({"fixpoint", "toymov", "--model", "skip", "--order",
+                                   "3", "--format", format});
+    EXPECT_EQ(job.report, cli.out) << format;
+    EXPECT_EQ(job.exit_code, cli.exit_code) << format;
+  }
+}
+
+TEST(Cli, HardenPatternsSummaryMatchesTheDaemonJobAtOrder3) {
+  svc::JobSpec spec = order3_skip_job(svc::JobKind::kHarden);
+  spec.patterns = true;
+  const svc::JobResult job = svc::run_job(spec);
+  const CliResult cli =
+      run_cli({"harden", "toymov", "--patterns", "--model", "skip", "--order", "3",
+               "--out", temp_path("toymov_patterns_o3.elf")});
+  ASSERT_EQ(cli.exit_code, 0) << cli.err;
+  const std::string first_line = cli.out.substr(0, cli.out.find('\n') + 1);
+  EXPECT_EQ(job.report.substr(0, job.report.find('\n') + 1), first_line);
+  EXPECT_NE(first_line.find(" / 0 tuple(s)\n"), std::string::npos) << first_line;
+}
+
+TEST(Cli, HardenPatternsSummaryCountsTheLevel2ResidueOfAnOrder3Sweep) {
+  // Capped after two iterations, pincheck's final order-3 sweep still has
+  // 7 successful pairs at its level 2 besides 73 top-level triples.
+  const CliResult result =
+      run_cli({"harden", "pincheck", "--patterns", "--model", "skip", "--order", "3",
+               "--max-iterations", "2", "--out", temp_path("pincheck_capped_o3.elf")});
+  EXPECT_NE(result.out.find("faulter+patcher: 2 iteration(s), fix-point NOT reached (cap "
+                            "hit), residual 0 fault(s) / 7 pair(s) / 73 tuple(s)\n"),
+            std::string::npos)
+      << result.out;
 }
 
 // ---- harden -----------------------------------------------------------------

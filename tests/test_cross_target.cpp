@@ -36,7 +36,7 @@ TEST_P(Rv32iFixpoint, ReachesZeroResidualUnderDefaultModels) {
   const patch::PipelineResult result = patch::faulter_patcher(
       input, guest.good_input, guest.bad_input, patch::PipelineConfig{});
 
-  EXPECT_TRUE(result.fixpoint) << guest.name;
+  EXPECT_TRUE(result.fixpoint()) << guest.name;
   EXPECT_EQ(result.final_campaign.vulnerabilities.size(), 0u)
       << guest.name << " retains order-1 vulnerabilities on rv32i";
 

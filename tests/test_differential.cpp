@@ -47,7 +47,7 @@ TEST_P(PipelineDifferential, FullChainPreservesBehaviourAndNeverAddsVulnerabilit
   pipeline_config.campaign = fast_skip_campaign();
   const patch::PipelineResult patched = patch::faulter_patcher(
       hybrid.hardened, guest.good_input, guest.bad_input, pipeline_config);
-  EXPECT_TRUE(patched.fixpoint) << guest.name;
+  EXPECT_TRUE(patched.fixpoint()) << guest.name;
 
   // -> a real ELF file and back, so the byte-level writer/reader are part
   // of the differential surface too.
@@ -97,7 +97,7 @@ TEST_P(PipelineDifferential, OrderTwoHardeningNeverAddsPairVulnerabilities) {
   config.campaign = order2;
   const patch::PipelineResult patched =
       patch::faulter_patcher(input, guest.good_input, guest.bad_input, config);
-  EXPECT_TRUE(patched.order2_fixpoint) << guest.name;
+  EXPECT_TRUE(patched.clean_at(2)) << guest.name;
 
   const std::vector<std::uint8_t> bytes = elf::write_elf(patched.hardened);
   const elf::Image reloaded = elf::read_elf(bytes);

@@ -30,7 +30,7 @@ TEST_P(SkipPipeline, ReachesFixpointWithZeroSkipVulnerabilities) {
   const patch::PipelineResult result =
       patch::faulter_patcher(input, guest.good_input, guest.bad_input, config);
 
-  EXPECT_TRUE(result.fixpoint);
+  EXPECT_TRUE(result.fixpoint());
   // Section V-C: "In the case of the instruction skip fault model, we were
   // able to resolve all the vulnerabilities".
   EXPECT_EQ(result.final_campaign.vulnerabilities.size(), 0u)
@@ -114,8 +114,8 @@ TEST_P(Order2Pipeline, ReachesOrderTwoFixpointWithZeroResidualPairs) {
   const patch::PipelineResult result =
       patch::faulter_patcher(input, guest.good_input, guest.bad_input, config);
 
-  EXPECT_TRUE(result.fixpoint) << guest.name;
-  EXPECT_TRUE(result.order2_fixpoint) << guest.name;
+  EXPECT_TRUE(result.fixpoint()) << guest.name;
+  EXPECT_TRUE(result.clean_at(2)) << guest.name;
   EXPECT_EQ(result.final_campaign.vulnerabilities.size(), 0u) << guest.name;
   EXPECT_EQ(result.final_campaign.pair_vulnerabilities.size(), 0u)
       << guest.name << " retains double-fault vulnerabilities after reinforcement";
@@ -141,8 +141,8 @@ TEST_P(Order2Pipeline, ReachesOrderTwoFixpointWithZeroResidualPairs) {
   EXPECT_EQ(result.iterations.back().successful_pairs, 0u);
 
   // Overhead bookkeeping: original <= order-1 fixpoint <= order-2 fixpoint.
-  EXPECT_GT(result.order1_code_size, result.original_code_size);
-  EXPECT_GT(result.hardened_code_size, result.order1_code_size);
+  EXPECT_GT(result.order1_code_size(), result.original_code_size);
+  EXPECT_GT(result.hardened_code_size, result.order1_code_size());
   EXPECT_GT(result.order2_overhead_delta_percent(), 0.0);
 
   // Behaviour preserved through the deeper redundancy patterns.
@@ -208,14 +208,14 @@ TEST(OrderLadderPipeline, ResidualRiskExitReportsWhatTheFinalSweepProves) {
   const patch::PipelineResult result =
       patch::faulter_patcher(input, guest.good_input, guest.bad_input, config);
 
-  EXPECT_TRUE(result.fixpoint);
-  EXPECT_FALSE(result.orderk_fixpoint);
+  EXPECT_TRUE(result.fixpoint());
+  EXPECT_FALSE(result.clean_at(3));
   EXPECT_FALSE(result.final_campaign.tuple_vulnerabilities.empty());
   EXPECT_TRUE(result.final_campaign.vulnerabilities.empty());
   ASSERT_FALSE(result.final_campaign.tuple_levels.empty());
   EXPECT_EQ(result.final_campaign.tuple_levels.front().order, 2u);
   EXPECT_EQ(result.final_campaign.tuple_levels.front().successful, 0u);
-  EXPECT_TRUE(result.order2_fixpoint);
+  EXPECT_TRUE(result.clean_at(2));
   ASSERT_NE(result.milestone(2), nullptr);
   EXPECT_EQ(result.milestone(3), nullptr);
   EXPECT_LT(result.milestone(2)->code_size, result.hardened_code_size);
@@ -223,18 +223,127 @@ TEST(OrderLadderPipeline, ResidualRiskExitReportsWhatTheFinalSweepProves) {
   const std::string overhead =
       "order-1 53.2% -> order-2 76.3% (+23.1 points for closing the order-2 gap) "
       "-> order-3 102.4% (residual risk)";
-  const std::string text = harden::fixpoint_section("pincheck", result);
+  const std::string text = harden::fixpoint_report("pincheck", result, "text");
   EXPECT_NE(text.find("  fix-point: yes, order-2 clean: yes, order-3 clean: NO\n"),
             std::string::npos)
       << text;
   EXPECT_NE(text.find("  overhead (Table-V style): " + overhead + "\n"), std::string::npos)
       << text;
-  const std::string markdown = harden::fixpoint_markdown_section("pincheck", result);
+  const std::string markdown = harden::fixpoint_report("pincheck", result, "markdown");
   EXPECT_NE(markdown.find("order-2 clean: **yes**; order-3 clean: **NO**. "
                           "Overhead (Table-V style): " +
                           overhead + "."),
             std::string::npos)
       << markdown;
+}
+
+// ---- every exit of the one loop ---------------------------------------------
+
+patch::PipelineResult run_pipeline(const Guest& guest, const patch::PipelineConfig& config) {
+  return patch::faulter_patcher(guests::build_image(guest), guest.good_input,
+                                guest.bad_input, config);
+}
+
+TEST(PipelineExits, CapHitWithACleanFinalSweepIsAFixpoint) {
+  // toymov's one skip vulnerability is patched in iteration 0; the cap then
+  // sweeps the patched 261-byte image once more and finds it clean — the
+  // same image --max-iterations 2 sweeps clean as its iteration 1.
+  patch::PipelineConfig config;
+  config.campaign = skip_only();
+  config.max_iterations = 1;
+  const patch::PipelineResult result = run_pipeline(guests::toymov(), config);
+
+  EXPECT_TRUE(result.cap_hit);
+  ASSERT_EQ(result.iterations.size(), 1u);
+  EXPECT_EQ(result.final_campaign.order, 1u);
+  EXPECT_EQ(result.hardened_code_size, 261u);
+  EXPECT_TRUE(result.clean_at(1));
+  EXPECT_TRUE(result.fixpoint());
+  EXPECT_TRUE(result.succeeded());
+  EXPECT_TRUE(result.order_milestones.empty());  // order-1 runs record none
+  EXPECT_NE(harden::fixpoint_report("toymov", result, "text")
+                .find("  fix-point: yes, order-1 clean: yes\n"),
+            std::string::npos);
+}
+
+TEST(PipelineExits, CapHitSweepsAtTheRequestedOrder) {
+  // The cap interrupts rung 1, yet the final campaign is the requested
+  // order-2 sweep: 180 pairs, two of which still succeed.
+  patch::PipelineConfig config;
+  config.campaign = skip_pairs();
+  config.max_iterations = 1;
+  const patch::PipelineResult result = run_pipeline(guests::toymov(), config);
+
+  EXPECT_TRUE(result.cap_hit);
+  ASSERT_EQ(result.iterations.size(), 1u);
+  EXPECT_EQ(result.iterations.front().order, 1u);
+  EXPECT_EQ(result.final_campaign.order, 2u);
+  EXPECT_EQ(result.final_campaign.total_pairs, 180u);
+  EXPECT_GT(result.residual_count(2), 0u);
+  EXPECT_TRUE(result.clean_at(1));
+  EXPECT_FALSE(result.clean_at(2));
+  EXPECT_FALSE(result.fixpoint());
+  EXPECT_FALSE(result.succeeded());
+  EXPECT_EQ(result.milestone(1), nullptr);  // the ladder never left rung 1
+  const std::string json = result.to_json();
+  EXPECT_NE(json.find("\"total_pairs\": 180,"), std::string::npos) << json;
+  EXPECT_NE(json.find("\"fixpoint\": false,"), std::string::npos) << json;
+}
+
+TEST(PipelineExits, UnpatchableRung1ResidueClimbsWhenOrder2IsRequested) {
+  // pincheck under skip+bit_flip keeps 9 order-1 faults no pattern can
+  // patch. An order-1 run stops there; an order-2 run leaves rung 1,
+  // recording milestone 1 at that image, and sweeps pairs.
+  patch::PipelineConfig config;
+  config.campaign.models.order = 2;
+  config.campaign.models.pair_window = 1;  // keeps the bit-flip pair sweep small
+  config.campaign.threads = 0;
+  config.max_iterations = 3;
+  const patch::PipelineResult result = run_pipeline(guests::pincheck(), config);
+
+  ASSERT_EQ(result.iterations.size(), 3u);
+  EXPECT_EQ(result.iterations[1].order, 1u);
+  EXPECT_EQ(result.iterations[1].successful_faults, 9u);
+  EXPECT_EQ(result.iterations[1].patches_applied, 0u);
+  EXPECT_EQ(result.iterations[2].order, 2u);
+  ASSERT_NE(result.milestone(1), nullptr);
+  EXPECT_EQ(result.order1_code_size(), result.iterations[1].code_size);
+  EXPECT_TRUE(result.cap_hit);
+  EXPECT_EQ(result.final_campaign.order, 2u);
+  EXPECT_FALSE(result.clean_at(1));
+  EXPECT_FALSE(result.succeeded());
+}
+
+TEST(PipelineExits, Order1ResidualRiskIsAFixpointButNotOrder1Clean) {
+  // pincheck --order 1 with the default models: the residual-risk exit.
+  // The verdict is the paper's fix-point (exit 0), but the report says the
+  // final sweep is not order-1 clean and claims nothing about order 2.
+  const patch::PipelineResult result = run_pipeline(guests::pincheck(), {});
+
+  EXPECT_FALSE(result.cap_hit);
+  EXPECT_EQ(result.final_campaign.order, 1u);
+  EXPECT_EQ(result.residual_count(1), 9u);
+  EXPECT_TRUE(result.fixpoint());
+  EXPECT_TRUE(result.succeeded());
+  EXPECT_FALSE(result.clean_at(1));
+  EXPECT_FALSE(result.clean_at(2));
+
+  const std::string text = harden::fixpoint_report("pincheck", result, "text");
+  EXPECT_NE(text.find("  fix-point: yes, order-1 clean: NO\n"
+                      "  overhead (Table-V style): order-1 79.3% (residual risk)\n"),
+            std::string::npos)
+      << text;
+  const std::string markdown = harden::fixpoint_report("pincheck", result, "markdown");
+  EXPECT_NE(markdown.find("Fix-point: **yes**; order-1 clean: **NO**. Overhead "
+                          "(Table-V style): order-1 79.3% (residual risk)."),
+            std::string::npos)
+      << markdown;
+  EXPECT_EQ(markdown.find("order-2"), std::string::npos) << markdown;
+  const std::string json = result.to_json();
+  EXPECT_NE(json.find("\"fixpoint\": true,\n  \"order2_fixpoint\": false,\n"
+                      "  \"orderk_fixpoint\": false,"),
+            std::string::npos)
+      << json;
 }
 
 TEST(PipelineBitFlip, BitFlipVulnerabilitiesAreReducedInPincheck) {

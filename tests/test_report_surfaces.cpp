@@ -1,5 +1,5 @@
 // Golden-file style tests for the report/JSON surfaces: the exact text of
-// harden::order2_fixpoint_section and of the order-2 campaign surfaces
+// harden::fixpoint_report and of the order-2 campaign surfaces
 // (residual_tuple_fault_section, tuple_campaign_markdown_section,
 // TupleCampaignResult::to_json) on fixed inputs, and the field inventory of
 // the campaign JSON documents on a real synthetic-guest sweep. A report
@@ -46,10 +46,12 @@ patch::PipelineResult fixed_pipeline_result() {
   it3.total_pairs = 520;
   it3.code_size = 180;
   result.iterations = {it0, it1, it2, it3};
-  result.fixpoint = true;
-  result.order2_fixpoint = true;
+  // An order-2 run whose clean final sweep ran at order 2; the ladder left
+  // rung 1 at 148 bytes. The statuses derive from these.
+  result.requested_order = 2;
+  result.final_campaign.order = 2;
   result.original_code_size = 100;
-  result.order1_code_size = 148;
+  result.order_milestones = {{1, 148}};
   result.hardened_code_size = 180;
   return result;
 }
@@ -108,7 +110,7 @@ TEST(ReportGolden, Order2FixpointSection) {
       "  fix-point: yes, order-2 clean: yes\n"
       "  overhead (Table-V style): order-1 48.0% -> order-2 80.0% "
       "(+32.0 points for closing the order-2 gap)\n";
-  EXPECT_EQ(harden::order2_fixpoint_section("demo", fixed_pipeline_result()),
+  EXPECT_EQ(harden::fixpoint_report("demo", fixed_pipeline_result(), "text"),
             expected);
 }
 
@@ -116,13 +118,12 @@ TEST(ReportGolden, Order2OverheadDeltaIsTheDifferenceOfThePrintedFigures) {
   // 27.96% and 31.24% print as 28.0% and 31.2%; their unrounded difference
   // (3.28) would print +3.3 and the line would not add up.
   patch::PipelineResult result;
-  result.fixpoint = true;
-  result.order2_fixpoint = true;
+  result.requested_order = 2;
+  result.final_campaign.order = 2;
   result.original_code_size = 10000;
-  result.order1_code_size = 12796;
   result.hardened_code_size = 13124;
   result.order_milestones = {{1, 12796}, {2, 13124}};
-  EXPECT_EQ(harden::order2_fixpoint_section("demo", result),
+  EXPECT_EQ(harden::fixpoint_report("demo", result, "text"),
             "order-2 fix-point trajectory: demo\n"
             "| iteration | order | faults | pairs | sites | patched | code bytes |\n"
             "|-----------|-------|--------|-------|-------|---------|------------|\n"
@@ -134,7 +135,7 @@ TEST(ReportGolden, Order2OverheadDeltaIsTheDifferenceOfThePrintedFigures) {
   EXPECT_NE(json.find("\"order1_overhead_percent\": 28.0,"), std::string::npos) << json;
   EXPECT_NE(json.find("\"order2_overhead_delta_percent\": 3.2,"), std::string::npos)
       << json;
-  EXPECT_NE(harden::fixpoint_markdown_section("demo", result)
+  EXPECT_NE(harden::fixpoint_report("demo", result, "markdown")
                 .find("order-1 28.0% -> order-2 31.2% (+3.2 points"),
             std::string::npos);
 }

@@ -216,8 +216,17 @@ TEST(SvcCacheKey, ChangesWithEveryBehaviourRelevantField) {
   // An order-3 budgeted sweep must never resolve to a cached exhaustive
   // (or differently-seeded) order-3 answer: the sampling knobs are
   // behaviour-relevant identity, not execution detail.
-  EXPECT_NE(mutated([](svc::JobSpec& s) { s.campaign.models.max_tuples = 500; }), base);
-  EXPECT_NE(mutated([](svc::JobSpec& s) { s.campaign.models.sample_seed += 1; }), base);
+  const auto order3 = [&](auto&& mutate) {
+    return mutated([&](svc::JobSpec& s) {
+      s.campaign.models.order = 3;
+      mutate(s);
+    });
+  };
+  const std::string order3_base = order3([](svc::JobSpec&) {});
+  EXPECT_NE(order3([](svc::JobSpec& s) { s.campaign.models.max_tuples = 500; }),
+            order3_base);
+  EXPECT_NE(order3([](svc::JobSpec& s) { s.campaign.models.sample_seed += 1; }),
+            order3_base);
   EXPECT_NE(mutated([](svc::JobSpec& s) { s.campaign.fuel_multiplier = 9; }), base);
   EXPECT_NE(mutated([](svc::JobSpec& s) { s.max_iterations = 3; }), base);
   EXPECT_NE(mutated([](svc::JobSpec& s) { s.patterns = true; }), base);
@@ -225,6 +234,20 @@ TEST(SvcCacheKey, ChangesWithEveryBehaviourRelevantField) {
   // The orders must also be distinct from each other, not just from order 1.
   EXPECT_NE(mutated([](svc::JobSpec& s) { s.campaign.models.order = 2; }),
             mutated([](svc::JobSpec& s) { s.campaign.models.order = 3; }));
+}
+
+TEST(SvcCacheKey, OrdersBelowThreeIgnoreTheSamplingFields) {
+  // Order-1 and order-2 sweeps never sample, so a budget or seed must not
+  // split their cache entries.
+  for (const unsigned order : {1u, 2u}) {
+    svc::JobSpec spec = campaign_spec();
+    spec.campaign.models.order = order;
+    const std::string base = spec.cache_key();
+    spec.campaign.models.max_tuples = 5;
+    EXPECT_EQ(spec.cache_key(), base) << "order " << order;
+    spec.campaign.models.sample_seed += 1;
+    EXPECT_EQ(spec.cache_key(), base) << "order " << order;
+  }
 }
 
 TEST(SvcCacheKey, IgnoresExecutionOnlyKnobs) {
