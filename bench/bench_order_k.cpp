@@ -113,7 +113,7 @@ int main(int argc, char** argv) {
           input, guest->good_input, guest->bad_input, ladder_config(order));
       const double seconds = phase.stop();
 
-      const std::uint64_t residual = result.residual_count(order);
+      const std::uint64_t residual = result.final_campaign.successful_at(order);
       const bool clean = result.clean_at(order);
       std::printf(
           "%-10s k=%u clean=%-3s residual=%llu overhead=%5.1f%% "

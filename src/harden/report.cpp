@@ -380,14 +380,16 @@ std::string fixpoint_report(const std::string& binary_name,
 }
 
 std::string faulter_patcher_summary(const patch::PipelineResult& result) {
-  const unsigned order = result.final_campaign.order;
+  const fault::CampaignResult& final_campaign = result.final_campaign;
   std::string out = "faulter+patcher: " + std::to_string(result.iterations.size()) +
                     " iteration(s), fix-point " +
                     (result.fixpoint() ? "reached" : "NOT reached (cap hit)") +
-                    ", residual " + std::to_string(result.residual_count(1)) +
-                    " fault(s) / " + std::to_string(result.residual_count(2)) + " pair(s)";
-  if (order >= 3) {
-    out += " / " + std::to_string(result.residual_count(order)) + " tuple(s)";
+                    ", residual " + std::to_string(final_campaign.successful_at(1)) +
+                    " fault(s) / " + std::to_string(final_campaign.successful_at(2)) +
+                    " pair(s)";
+  if (final_campaign.order >= 3) {
+    out += " / " + std::to_string(final_campaign.successful_at(final_campaign.order)) +
+           " tuple(s)";
   }
   return out + "\n";
 }

@@ -121,11 +121,6 @@ struct PipelineResult {
     return order1_code_size() == 0 ? 0.0 : overhead_percent_at(order1_code_size());
   }
 
-  /// Successful fault sets of exactly `order` faults in the final campaign.
-  [[nodiscard]] std::uint64_t residual_count(unsigned order) const {
-    return final_campaign.successful_at(order);
-  }
-
   /// The final campaign swept order >= `order` and found no successful
   /// fault set at any level 1..order.
   [[nodiscard]] bool clean_at(unsigned order) const;

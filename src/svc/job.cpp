@@ -120,14 +120,18 @@ std::string JobSpec::cache_key() const {
   // cached order-3 exhaustive (or differently-seeded) answer. Schema 3:
   // order-2 campaign reports render through the order-k renderers, so no
   // cached order-2 report of the old shape may answer a new request.
-  // Schema 4: below order 3 the sampling fields are keyed at their defaults
-  // (order-1 and order-2 sweeps ignore them), and fix-point reports carry
-  // the derived clean statuses and the one-loop cap rule.
+  // Schema 4: a sampling field is keyed at its default where no report
+  // depends on it — the budget below order 3 (order-1 and order-2 sweeps
+  // never sample), the seed at order 1 (the order-2 campaign JSON still
+  // prints it) — and fix-point reports carry the derived clean statuses
+  // and the one-loop cap rule.
   canonical.set("r2rd_cache_key_schema", "4");
   JobSpec identity = *this;
+  const sim::FaultModels defaults;
   if (identity.campaign.models.order < 3) {
-    const sim::FaultModels defaults;
     identity.campaign.models.max_tuples = defaults.max_tuples;
+  }
+  if (identity.campaign.models.order < 2) {
     identity.campaign.models.sample_seed = defaults.sample_seed;
   }
   append_identity_fields(identity, canonical);

@@ -279,7 +279,7 @@ TEST(PipelineExits, CapHitSweepsAtTheRequestedOrder) {
   EXPECT_EQ(result.iterations.front().order, 1u);
   EXPECT_EQ(result.final_campaign.order, 2u);
   EXPECT_EQ(result.final_campaign.total_pairs, 180u);
-  EXPECT_GT(result.residual_count(2), 0u);
+  EXPECT_GT(result.final_campaign.successful_at(2), 0u);
   EXPECT_TRUE(result.clean_at(1));
   EXPECT_FALSE(result.clean_at(2));
   EXPECT_FALSE(result.fixpoint());
@@ -322,7 +322,7 @@ TEST(PipelineExits, Order1ResidualRiskIsAFixpointButNotOrder1Clean) {
 
   EXPECT_FALSE(result.cap_hit);
   EXPECT_EQ(result.final_campaign.order, 1u);
-  EXPECT_EQ(result.residual_count(1), 9u);
+  EXPECT_EQ(result.final_campaign.successful_at(1), 9u);
   EXPECT_TRUE(result.fixpoint());
   EXPECT_TRUE(result.succeeded());
   EXPECT_FALSE(result.clean_at(1));

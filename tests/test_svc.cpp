@@ -1,8 +1,8 @@
 // Tests for r2r::svc — the r2rd campaign service: wire framing, the
 // bounded priority queue, the content-addressed result cache and its key,
 // and full daemon lifecycles over a real Unix socket (cached-equals-fresh
-// byte-identity, worker kill -9 isolation and respawn, graceful drain,
-// backpressure refusal).
+// byte-identity, daemon-equals-CLI after a near-miss cache entry, worker
+// kill -9 isolation and respawn, graceful drain, backpressure refusal).
 #include <csignal>
 #include <unistd.h>
 
@@ -10,12 +10,14 @@
 #include <cstdint>
 #include <filesystem>
 #include <optional>
+#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "cli/cli.h"
 #include "guests/guests.h"
 #include "obs/metrics.h"
 #include "support/error.h"
@@ -236,18 +238,26 @@ TEST(SvcCacheKey, ChangesWithEveryBehaviourRelevantField) {
             mutated([](svc::JobSpec& s) { s.campaign.models.order = 3; }));
 }
 
-TEST(SvcCacheKey, OrdersBelowThreeIgnoreTheSamplingFields) {
-  // Order-1 and order-2 sweeps never sample, so a budget or seed must not
-  // split their cache entries.
+TEST(SvcCacheKey, SamplingFieldsAreKeyedOnlyWhereAReportDependsOnThem) {
+  // Order-1 and order-2 sweeps never sample, so a budget must not split
+  // their cache entries; neither may a seed at order 1.
   for (const unsigned order : {1u, 2u}) {
     svc::JobSpec spec = campaign_spec();
     spec.campaign.models.order = order;
     const std::string base = spec.cache_key();
     spec.campaign.models.max_tuples = 5;
     EXPECT_EQ(spec.cache_key(), base) << "order " << order;
-    spec.campaign.models.sample_seed += 1;
-    EXPECT_EQ(spec.cache_key(), base) << "order " << order;
   }
+  svc::JobSpec order1 = campaign_spec();
+  const std::string order1_base = order1.cache_key();
+  order1.campaign.models.sample_seed += 1;
+  EXPECT_EQ(order1.cache_key(), order1_base);
+  // The order-2 campaign JSON prints the seed, so it stays keyed there.
+  svc::JobSpec order2 = campaign_spec();
+  order2.campaign.models.order = 2;
+  const std::string order2_base = order2.cache_key();
+  order2.campaign.models.sample_seed += 1;
+  EXPECT_NE(order2.cache_key(), order2_base);
 }
 
 TEST(SvcCacheKey, IgnoresExecutionOnlyKnobs) {
@@ -342,6 +352,40 @@ TEST(SvcServer, CachedAnswerIsByteIdenticalToFreshAcrossFormats) {
   EXPECT_EQ(status.get_or("cache_misses", ""), "3");
   EXPECT_EQ(status.get_or("jobs_completed", ""), "3");
   EXPECT_EQ(status.get_or("cache_entries", ""), "3");
+
+  server.request_shutdown();
+  server.wait();
+}
+
+TEST(SvcServer, Order2CampaignJsonWithAnotherSeedIsNotAnsweredFromTheCache) {
+  // The order-2 campaign JSON prints its sample_seed, so a cached
+  // default-seed report must not answer a request with another seed: the
+  // daemon stays byte-identical to the one-shot CLI.
+  svc::ServerConfig config;
+  config.socket_path = socket_path("svc_order2_seed.sock");
+  config.workers = 1;
+  svc::Server server(config);
+  server.start();
+
+  svc::JobSpec spec = campaign_spec();
+  spec.campaign.models.bit_flip = false;
+  spec.campaign.models.order = 2;
+  spec.format = "json";
+  const svc::Message first = rpc(config.socket_path, submit_request(spec));
+  ASSERT_EQ(first.get_or("ok", ""), "1") << first.get_or("error", "");
+  spec.campaign.models.sample_seed = 7;
+  const svc::Message seeded = rpc(config.socket_path, submit_request(spec));
+  ASSERT_EQ(seeded.get_or("ok", ""), "1") << seeded.get_or("error", "");
+  EXPECT_EQ(seeded.get_or("cached", ""), "0");
+
+  std::ostringstream out;
+  std::ostringstream err;
+  const int exit_code = cli::run({"campaign", "toymov", "--model", "skip", "--order", "2",
+                                  "--format", "json", "--sample-seed", "7"},
+                                 out, err);
+  EXPECT_EQ(exit_code, 0) << err.str();
+  EXPECT_EQ(seeded.get_or("report", ""), out.str());
+  EXPECT_NE(out.str().find("\"sample_seed\": 7,"), std::string::npos) << out.str();
 
   server.request_shutdown();
   server.wait();
